@@ -147,7 +147,7 @@ def _trajectory_csv(model, res, c: solver.Candidate) -> str:
     if inc.support_class(res.model).tag == "full_plane":
         vals = legendre.rate_batch(res.model, traj.derivs)
     else:
-        vals = np.array([legendre.rate_1d(res.model, float(v)) for v in traj.derivs[:, 1]])
+        vals = legendre.rate_1d(res.model, traj.derivs[:, 1])
     rows = np.column_stack([traj.times, traj.points, traj.derivs, vals])
     return _csv_rows(rows)
 
@@ -271,7 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rate of convex-hull-area large deviations for planar random walks",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    env_threads = os.environ.get("LDP_HULL_THREADS")
+    env_threads = os.environ.get("LDP_HULL_THREADS") or None
+    try:
+        env_threads = env_threads and int(env_threads)
+    except ValueError:
+        raise ValueError(f"LDP_HULL_THREADS must be an integer, got {env_threads!r}") from None
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, dist=True):
@@ -281,24 +285,23 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--threads",
             type=int,
-            default=int(env_threads) if env_threads else None,
+            default=env_threads,
             help="worker threads for sampling (default: machine parallelism)",
         )
 
+    def solve_args(sp):
+        common(sp)
+        sp.add_argument("--area", type=float, required=True, help="target hull area")
+        sp.add_argument("--eps", type=float, default=None, help="regularization strength")
+        sp.add_argument("--directions", type=int, default=256, help="direction-scan resolution")
+        sp.add_argument("--samples", type=int, default=1024, help="trajectory sample count")
+
     sp = sub.add_parser("rate", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="rate value and candidate trajectories for a target area")
-    common(sp)
-    sp.add_argument("--area", type=float, required=True, help="target hull area")
-    sp.add_argument("--eps", type=float, default=None, help="regularization strength")
-    sp.add_argument("--directions", type=int, default=256, help="direction-scan resolution")
-    sp.add_argument("--samples", type=int, default=1024, help="trajectory sample count")
+    solve_args(sp)
     sp.set_defaults(fn=_cmd_rate)
 
     sp = sub.add_parser("trajectory", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="rate plus per-candidate trajectory CSVs")
-    common(sp)
-    sp.add_argument("--area", type=float, required=True, help="target hull area")
-    sp.add_argument("--eps", type=float, default=None, help="regularization strength")
-    sp.add_argument("--directions", type=int, default=256, help="direction-scan resolution")
-    sp.add_argument("--samples", type=int, default=1024, help="trajectory sample count")
+    solve_args(sp)
     sp.add_argument("--csv-dir", default="trajectories", help="directory for candidate CSVs")
     sp.set_defaults(fn=_cmd_trajectory)
 
@@ -338,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except DomainError as exc:
         sys.stderr.write(dumps({"error": exc.payload()}) + "\n")

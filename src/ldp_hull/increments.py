@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .polyline import convex_hull_vertices
 
@@ -180,22 +179,29 @@ def _prepare(u):
     return np.atleast_2d(arr), scalar
 
 
+def _logsumexp(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp over the last axis and the softmax weights, by max shift:
+    finite scores of any size neither overflow nor underflow to an empty sum."""
+    top = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return np.log(total[..., 0]) + top[..., 0], e / total
+
+
 # ---------------------------------------------------------------------------
 # One-dimensional sub-model cumulants (used by Graph1D and by legendre.rate_1d)
 
 def y_cumulant(y, w: np.ndarray) -> np.ndarray:
     if isinstance(y, Gaussian1D):
         return y.mean * w + 0.5 * y.var * w * w
-    scores = np.multiply.outer(w, y.points) + np.log(y.probs)
-    out = logsumexp(scores, axis=-1)
+    out, _ = _logsumexp(np.multiply.outer(w, y.points) + np.log(y.probs))
     return np.where(w == 0.0, 0.0, out)
 
 
 def y_cumulant_d1(y, w: np.ndarray) -> np.ndarray:
     if isinstance(y, Gaussian1D):
         return y.mean + y.var * w
-    scores = np.multiply.outer(w, y.points) + np.log(y.probs)
-    weights = np.exp(scores - logsumexp(scores, axis=-1, keepdims=True))
+    _, weights = _logsumexp(np.multiply.outer(w, y.points) + np.log(y.probs))
     out = weights @ y.points
     return np.where(w == 0.0, float(y.probs @ y.points), out)
 
@@ -203,8 +209,7 @@ def y_cumulant_d1(y, w: np.ndarray) -> np.ndarray:
 def y_cumulant_d2(y, w: np.ndarray) -> np.ndarray:
     if isinstance(y, Gaussian1D):
         return np.full_like(np.asarray(w, float), y.var)
-    scores = np.multiply.outer(w, y.points) + np.log(y.probs)
-    weights = np.exp(scores - logsumexp(scores, axis=-1, keepdims=True))
+    _, weights = _logsumexp(np.multiply.outer(w, y.points) + np.log(y.probs))
     m1 = weights @ y.points
     m2 = weights @ (y.points * y.points)
     return m2 - m1 * m1
@@ -230,8 +235,8 @@ def cumulant(model: IncrementModel, u) -> "float | np.ndarray":
     if isinstance(kind, Gaussian):
         vals = U @ kind.mean + 0.5 * np.einsum("ij,ij->i", U, U @ kind.cov)
     elif isinstance(kind, Atoms):
-        scores = U @ kind.points.T + np.log(kind.probs)
-        vals = np.where(np.all(U == 0.0, axis=1), 0.0, logsumexp(scores, axis=1))
+        vals, _ = _logsumexp(U @ kind.points.T + np.log(kind.probs))
+        vals = np.where(np.all(U == 0.0, axis=1), 0.0, vals)
     else:
         vals = kind.mu1 * U[:, 0] + y_cumulant(kind.y_model, U[:, 1])
     if model.epsilon:
@@ -246,8 +251,7 @@ def cumulant_gradient(model: IncrementModel, u) -> np.ndarray:
     if isinstance(kind, Gaussian):
         grad = kind.mean + U @ kind.cov
     elif isinstance(kind, Atoms):
-        scores = U @ kind.points.T + np.log(kind.probs)
-        weights = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+        _, weights = _logsumexp(U @ kind.points.T + np.log(kind.probs))
         grad = weights @ kind.points
         zero = np.all(U == 0.0, axis=1)
         if zero.any():
@@ -269,8 +273,7 @@ def cumulant_hessian(model: IncrementModel, u) -> np.ndarray:
     if isinstance(kind, Gaussian):
         hess = np.broadcast_to(kind.cov, (len(U), 2, 2)).copy()
     elif isinstance(kind, Atoms):
-        scores = U @ kind.points.T + np.log(kind.probs)
-        weights = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+        _, weights = _logsumexp(U @ kind.points.T + np.log(kind.probs))
         zero = np.all(U == 0.0, axis=1)
         if zero.any():
             weights[zero] = kind.probs
@@ -295,20 +298,17 @@ def drift(model: IncrementModel) -> np.ndarray:
     return np.array([kind.mu1, y_mean(kind.y_model)])
 
 
-def _origin_interior(points: np.ndarray) -> bool:
-    """Is the origin strictly interior to the convex hull of ``points``?
+def _strictly_inside(hull: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Which rows of ``V`` lie strictly inside the ccw convex polygon ``hull``?
 
     Orientation predicates with a fixed collinearity tolerance; degenerate
-    hulls never contain interior points.
+    hulls (fewer than three vertices) contain no point.
     """
-    hull = convex_hull_vertices(points)
-    if len(hull) < 3:
-        return False
+    edge = np.roll(hull, -1, axis=0) - hull  # interior: positive turn against each edge
+    rel = V[:, None, :] - hull[None, :, :]
+    turn = edge[None, :, 0] * rel[..., 1] - edge[None, :, 1] * rel[..., 0]
     scale = max(1.0, float(np.abs(hull).max()))
-    nxt = np.roll(hull, -1, axis=0)
-    edge = nxt - hull
-    turn = edge[:, 0] * (-hull[:, 1]) - edge[:, 1] * (-hull[:, 0])
-    return bool(np.all(turn > _COLLINEAR_TOL * scale))
+    return np.all(turn > _COLLINEAR_TOL * scale, axis=1)
 
 
 def support_class(model: IncrementModel) -> SupportClass:
@@ -328,7 +328,8 @@ def support_class(model: IncrementModel) -> SupportClass:
             return FULL_PLANE
         return PROPER_SUBSET
     if isinstance(kind, Atoms):
-        return FULL_PLANE if _origin_interior(kind.points) else PROPER_SUBSET
+        inside = _strictly_inside(convex_hull_vertices(kind.points), np.zeros((1, 2)))[0]
+        return FULL_PLANE if inside else PROPER_SUBSET
     return SupportClass("vertical_line", mu1=kind.mu1)
 
 

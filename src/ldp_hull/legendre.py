@@ -80,14 +80,7 @@ def _domain_mask(model: inc.IncrementModel, V: np.ndarray) -> np.ndarray:
     """
     if model.epsilon > 0.0 or isinstance(model.kind, inc.Gaussian):
         return np.ones(len(V), dtype=bool)
-    hull = convex_hull_vertices(model.kind.points)
-    nxt = np.roll(hull, -1, axis=0)
-    edge = nxt - hull  # ccw hull: interior has positive turn against each edge
-    rel0 = V[:, None, 0] - hull[None, :, 0]
-    rel1 = V[:, None, 1] - hull[None, :, 1]
-    turn = edge[None, :, 0] * rel1 - edge[None, :, 1] * rel0
-    scale = max(1.0, float(np.abs(hull).max()))
-    return np.all(turn > 1e-12 * scale, axis=1)
+    return inc._strictly_inside(convex_hull_vertices(model.kind.points), V)
 
 
 def _solve2x2(H: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -239,69 +232,83 @@ def _y_model(model: inc.IncrementModel) -> "inc.Gaussian1D | inc.Atoms1D":
     return model.kind.y_model
 
 
-def _solve_y_gradient(y, v: float) -> float:
-    """Monotone Newton/bisection solve of K_y'(w) = v (v interior to the support hull)."""
+def _solve_y_gradient(y, v: np.ndarray) -> np.ndarray:
+    """Solve K_y'(w) = v per entry of a 1-D array v interior to the support hull.
+
+    K_y' is increasing: per entry, a bracket doubled out from [-1, 1], then
+    Newton steps (the bracket midpoint when a step leaves it) until residual
+    and bracket are at rounding level.  Entries advance as one batch.
+    """
     if isinstance(y, inc.Gaussian1D):
         return (v - y.mean) / y.var
-    lo, hi = -1.0, 1.0
+    lo, hi = np.full(len(v), -1.0), np.ones(len(v))
     for _ in range(200):
-        if inc.y_cumulant_d1(y, np.array([lo]))[0] < v:
+        grow_lo = inc.y_cumulant_d1(y, lo) >= v
+        grow_hi = inc.y_cumulant_d1(y, hi) <= v
+        if not (grow_lo.any() or grow_hi.any()):
             break
-        lo *= 2.0
-    for _ in range(200):
-        if inc.y_cumulant_d1(y, np.array([hi]))[0] > v:
-            break
-        hi *= 2.0
+        lo[grow_lo] *= 2.0
+        hi[grow_hi] *= 2.0
     w = 0.5 * (lo + hi)
+    live = np.arange(len(v))
     for _ in range(200):
-        d = inc.y_cumulant_d1(y, np.array([w]))[0]
-        if d > v:
-            hi = w
-        else:
-            lo = w
-        step = (v - d) / max(inc.y_cumulant_d2(y, np.array([w]))[0], 1e-300)
-        cand = w + step
-        w = cand if lo < cand < hi else 0.5 * (lo + hi)
-        if abs(d - v) <= 1e-14 * (1.0 + abs(v)) and hi - lo <= 1e-12 * (1.0 + abs(w)):
+        if not len(live):
             break
+        wl, vl = w[live], v[live]
+        d = inc.y_cumulant_d1(y, wl)
+        above = d > vl
+        hi[live[above]] = wl[above]
+        lo[live[~above]] = wl[~above]
+        lo_l, hi_l = lo[live], hi[live]
+        cand = wl + (vl - d) / np.maximum(inc.y_cumulant_d2(y, wl), 1e-300)
+        wl = np.where((lo_l < cand) & (cand < hi_l), cand, 0.5 * (lo_l + hi_l))
+        w[live] = wl
+        small = np.abs(d - vl) <= 1e-14 * (1.0 + np.abs(vl))
+        live = live[~(small & (hi_l - lo_l <= 1e-12 * (1.0 + np.abs(wl))))]
     return w
 
 
-def _y_support(y) -> tuple[float, float]:
+def _y_query(model: inc.IncrementModel, v):
+    """(y model, v as a 1-D array, support ends, tolerance at the ends)."""
+    y = _y_model(model)
     if isinstance(y, inc.Gaussian1D):
-        return -math.inf, math.inf
-    return float(y.points.min()), float(y.points.max())
+        lo, hi = -math.inf, math.inf
+    else:
+        lo, hi = float(y.points.min()), float(y.points.max())
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    return y, np.atleast_1d(np.asarray(v, dtype=float)), lo, hi, tol
 
 
-def rate_1d(model: inc.IncrementModel, v: float) -> float:
+def rate_1d(model: inc.IncrementModel, v):
     """Rate of the vertical component of a graph model at velocity ``v``.
 
-    Finite on the closed support hull of the vertical law: at an endpoint atom
-    the value is the negative log-mass of that atom (the supremum is attained
-    only in the limit there); outside the closed hull the query is rejected.
+    ``v`` is a scalar (float result) or a 1-D array (array result).  Finite on
+    the closed support hull of the vertical law: at an endpoint atom the value
+    is the negative log-mass of that atom (the supremum is attained only in
+    the limit there); outside the closed hull the query is rejected.
     """
-    y = _y_model(model)
-    lo, hi = _y_support(y)
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if v < lo - tol or v > hi + tol:
+    y, V, lo, hi, tol = _y_query(model, v)
+    if np.any((V < lo - tol) | (V > hi + tol)):
         raise OutsideDomainError("v lies outside the closed support hull")
+    out = np.empty_like(V)
+    inner = np.ones(len(V), dtype=bool)
     if isinstance(y, inc.Atoms1D):
-        if abs(v - lo) <= tol:
-            return -math.log(float(y.probs[np.argmin(y.points)]))
-        if abs(v - hi) <= tol:
-            return -math.log(float(y.probs[np.argmax(y.points)]))
-    w = _solve_y_gradient(y, float(v))
-    return max(0.0, w * v - float(inc.y_cumulant(y, np.array([w]))[0]))
+        for end, atom in ((lo, np.argmin(y.points)), (hi, np.argmax(y.points))):
+            at_end = inner & (np.abs(V - end) <= tol)
+            out[at_end] = -math.log(float(y.probs[atom]))
+            inner &= ~at_end
+    w = _solve_y_gradient(y, V[inner])
+    out[inner] = np.maximum(0.0, w * V[inner] - inc.y_cumulant(y, w))
+    return float(out[0]) if np.ndim(v) == 0 else out
 
 
-def rate_1d_gradient(model: inc.IncrementModel, v: float) -> float:
-    """Derivative of :func:`rate_1d`: the inverse of the vertical cumulant derivative."""
-    y = _y_model(model)
-    lo, hi = _y_support(y)
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if v <= lo + tol or v >= hi - tol:
+def rate_1d_gradient(model: inc.IncrementModel, v):
+    """Derivative of :func:`rate_1d` (scalar or 1-D array ``v``): the inverse of K_y'."""
+    y, V, lo, hi, tol = _y_query(model, v)
+    if np.any((V <= lo + tol) | (V >= hi - tol)):
         raise OutsideDomainError("rate_1d_gradient needs v interior to the support hull")
-    return _solve_y_gradient(y, float(v))
+    w = _solve_y_gradient(y, V)
+    return float(w[0]) if np.ndim(v) == 0 else w
 
 
 def energy(model: inc.IncrementModel, traj: Trajectory) -> float:

@@ -294,30 +294,24 @@ def arc_parametrization(
     if n < 2:
         raise ValueError("need at least 2 segments")
 
-    m = max(4096, 4 * n)
-    while True:
+    def mass_increments(m):
         angles = _arc_angles(ell, tau, m)
         dirs = _dirs_of(angles)
-        r = _ray_radii(model, alpha, dirs)
-        pts = dirs * r[:, None]
+        pts = dirs * _ray_radii(model, alpha, dirs)[:, None]
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         f = 1.0 / np.linalg.norm(inc.cumulant_gradient(model, pts), axis=1)
         incr = 0.5 * (f[:-1] + f[1:]) * seg
-        mass = float(np.sum(incr))
-        if m >= _M_CAP:
+        return angles, incr, float(np.sum(incr))
+
+    # double the grid until the mass settles; each grid is traced once
+    m = max(4096, 4 * n)
+    angles, incr, mass = mass_increments(m)
+    while m < _M_CAP:
+        angles2, incr2, mass2 = mass_increments(2 * m)
+        settled = abs(mass2 - mass) <= rtol * mass
+        angles, incr, mass, m = angles2, incr2, mass2, 2 * m
+        if settled:
             break
-        angles2 = _arc_angles(ell, tau, 2 * m)
-        dirs2 = _dirs_of(angles2)
-        r2 = _ray_radii(model, alpha, dirs2)
-        pts2 = dirs2 * r2[:, None]
-        seg2 = np.linalg.norm(np.diff(pts2, axis=0), axis=1)
-        f2 = 1.0 / np.linalg.norm(inc.cumulant_gradient(model, pts2), axis=1)
-        incr2 = 0.5 * (f2[:-1] + f2[1:]) * seg2
-        mass2 = float(np.sum(incr2))
-        if abs(mass2 - mass) <= rtol * mass:
-            angles, incr, mass, m = angles2, incr2, mass2, 2 * m
-            break
-        m *= 2
 
     cum = np.concatenate([[0.0], np.cumsum(incr)])
     cum[-1] = mass  # guard cumsum roundoff at the far endpoint

@@ -75,44 +75,42 @@ def _categorical(gen, cum_probs: np.ndarray, n: int) -> np.ndarray:
     return np.sum(cum_probs < v[:, None], axis=1)
 
 
-def _sample_increments(model: inc.IncrementModel, n: int, gen, tilts: np.ndarray) -> np.ndarray:
-    """n increments of the tilted law (tilts = 0 rows give the base law).
+def _increment_sampler(model: inc.IncrementModel, tilts: np.ndarray):
+    """Draw function gen -> (n, 2) increments, one tilted law per row of ``tilts``.
 
-    Tilting is exact per kind: atom masses are reweighted by
-    exp(u . x - K(u)); Gaussian parts shift their mean by cov @ u.  The draw
-    pattern does not depend on the tilt values, so zero tilts reproduce the
-    naive sampler stream for stream.
+    Zero rows give the base law.  Tilting is exact per kind: atom masses are
+    reweighted by exp(u . x - K(u)); Gaussian parts shift their mean by
+    cov @ u.  What depends only on the tilts is computed once, here.  The
+    draw pattern does not depend on the tilt values, so zero tilts reproduce
+    the naive sampler stream for stream.
     """
+    n = len(tilts)
     kind = model.kind
     eps = model.epsilon
     if isinstance(kind, inc.Gaussian):
         cov = kind.cov + eps * np.eye(2)
-        X = kind.mean + tilts @ cov + gen.standard_normal((n, 2)) @ _cov_factor(cov).T
-        return X
+        mean = kind.mean + tilts @ cov
+        factor = _cov_factor(cov).T
+        return lambda gen: mean + gen.standard_normal((n, 2)) @ factor
     if isinstance(kind, inc.Atoms):
-        scores = np.log(kind.probs) + tilts @ kind.points.T  # (n, k)
-        scores -= scores.max(axis=1, keepdims=True)
-        probs = np.exp(scores)
-        probs /= probs.sum(axis=1, keepdims=True)
-        idx = _categorical(gen, np.cumsum(probs, axis=1), n)
-        X = kind.points[idx]
-        if eps:
-            X = X + eps * tilts + math.sqrt(eps) * gen.standard_normal((n, 2))
-        return X
-    y = kind.y_model
-    w = tilts[:, 1]
-    if isinstance(y, inc.Gaussian1D):
-        ys = y.mean + y.var * w + math.sqrt(y.var) * gen.standard_normal(n)
+        _, probs = inc._logsumexp(np.log(kind.probs) + tilts @ kind.points.T)
+        cum = np.cumsum(probs, axis=1)
+        base = lambda gen: kind.points[_categorical(gen, cum, n)]
     else:
-        scores = np.log(y.probs) + np.multiply.outer(w, y.points)
-        scores -= scores.max(axis=1, keepdims=True)
-        probs = np.exp(scores)
-        probs /= probs.sum(axis=1, keepdims=True)
-        ys = y.points[_categorical(gen, np.cumsum(probs, axis=1), n)]
-    X = np.column_stack([np.full(n, kind.mu1), ys])
-    if eps:
-        X = X + eps * tilts + math.sqrt(eps) * gen.standard_normal((n, 2))
-    return X
+        y = kind.y_model
+        w = tilts[:, 1]
+        if isinstance(y, inc.Gaussian1D):
+            y_mean, y_sd = y.mean + y.var * w, math.sqrt(y.var)
+            draw_y = lambda gen: y_mean + y_sd * gen.standard_normal(n)
+        else:
+            _, probs = inc._logsumexp(np.log(y.probs) + np.multiply.outer(w, y.points))
+            cum = np.cumsum(probs, axis=1)
+            draw_y = lambda gen: y.points[_categorical(gen, cum, n)]
+        base = lambda gen: np.column_stack([np.full(n, kind.mu1), draw_y(gen)])
+    if not eps:
+        return base
+    shift, sd = eps * tilts, math.sqrt(eps)
+    return lambda gen: base(gen) + shift + sd * gen.standard_normal((n, 2))
 
 
 def hull_area_points(points) -> float:
@@ -137,11 +135,11 @@ def simulate_walk(
         return WalkSample(0, np.zeros((1, 2)), 0.0, 0.0)
     gen = _generator(seed, 0)
     if tilts is None:
-        X = _sample_increments(model, n, gen, np.zeros((n, 2)))
+        X = _increment_sampler(model, np.zeros((n, 2)))(gen)
         log_w = 0.0
     else:
         tilts = np.asarray(tilts, float).reshape(n, 2)
-        X = _sample_increments(model, n, gen, tilts)
+        X = _increment_sampler(model, tilts)(gen)
         log_w = math.fsum(inc.cumulant(model, tilts)) - float(np.einsum("ij,ij->", tilts, X))
     pts = np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
     return WalkSample(n, pts, hull_area_points(pts), log_w)
@@ -156,8 +154,19 @@ def _optimal_tilts(model: inc.IncrementModel, area: float, n: int) -> np.ndarray
     if inc.support_class(result.model).tag == "full_plane":
         _, U = legendre.rate_batch(result.model, derivs, return_maximizers=True)
         return U
-    w = np.array([legendre.rate_1d_gradient(result.model, float(v)) for v in derivs[:, 1]])
-    return np.column_stack([np.zeros(n), w])
+    return np.column_stack([np.zeros(n), legendre.rate_1d_gradient(result.model, derivs[:, 1])])
+
+
+def _log_mean_exp(log_w: np.ndarray, count: int) -> float:
+    """log(sum(exp(log_w)) / count), reduced by max shift; -inf if all are -inf.
+
+    Exactly-rounded summation after the shift keeps the result independent of
+    the order of ``log_w``, and weights far below exp(-745) do not underflow.
+    """
+    top = float(log_w.max())
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(np.exp(log_w - top)) / count)
 
 
 def estimate_ldp(
@@ -174,9 +183,10 @@ def estimate_ldp(
 
     Naive mode reports -(1/n) log of the hit frequency and flags zero hits
     instead of failing.  Tilted mode draws every step from the exponentially
-    tilted law along the optimal trajectory and averages indicator * weight.
+    tilted law along the optimal trajectory and averages indicator * weight,
+    in the log domain, so ``zero_hits`` means no walk reached the threshold.
     The standard error comes from batch means over ``batches`` blocks (None
-    when a block has no weight).
+    when a block has no hit).
     """
     if mode not in ("naive", "tilted"):
         raise ValueError("mode must be 'naive' or 'tilted'")
@@ -187,18 +197,15 @@ def estimate_ldp(
     )
     log_norm = math.fsum(inc.cumulant(model, tilts))  # sum of K(u_i)
     threshold = area * n * n
-    contrib = np.zeros(samples)
-    hit = np.zeros(samples, dtype=bool)
+    draw = _increment_sampler(model, tilts)
+    log_w = np.full(samples, -math.inf)  # log weight of each hit; -inf for a miss
 
     def run_chunk(start: int, stop: int) -> None:
         for j in range(start, stop):
-            gen = _generator(seed, j)
-            X = _sample_increments(model, n, gen, tilts)
+            X = draw(_generator(seed, j))
             pts = np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
             if hull_area_points(pts) >= threshold:
-                hit[j] = True
-                log_w = log_norm - float(np.einsum("ij,ij->", tilts, X))
-                contrib[j] = math.exp(log_w)
+                log_w[j] = log_norm - float(np.einsum("ij,ij->", tilts, X))
 
     starts = range(0, samples, _CHUNK)
     nthreads = threads if threads is not None else (os.cpu_count() or 1)
@@ -209,17 +216,16 @@ def estimate_ldp(
         for s in starts:
             run_chunk(s, min(s + _CHUNK, samples))
 
-    hits = int(np.count_nonzero(hit))
-    prob = math.fsum(contrib) / samples
-    if prob <= 0.0:
+    hits = int(np.count_nonzero(log_w > -math.inf))
+    if hits == 0:
         return LdpEstimate(None, None, hits, samples, mode, True, 0.0)
-    rate = -math.log(prob) / n
+    log_prob = _log_mean_exp(log_w, samples)
 
     edges = np.linspace(0, samples, batches + 1).astype(int)
-    batch_probs = [math.fsum(contrib[a:b]) / (b - a) for a, b in zip(edges[:-1], edges[1:])]
-    if min(batch_probs) > 0.0:
-        batch_rates = [-math.log(p) / n for p in batch_probs]
+    batch_log_probs = [_log_mean_exp(log_w[a:b], b - a) for a, b in zip(edges[:-1], edges[1:])]
+    if min(batch_log_probs) > -math.inf:
+        batch_rates = [-lp / n for lp in batch_log_probs]
         stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(batches))
     else:
         stderr = None
-    return LdpEstimate(rate, stderr, hits, samples, mode, False, prob)
+    return LdpEstimate(-log_prob / n, stderr, hits, samples, mode, False, math.exp(log_prob))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from . import increments as inc
 from . import legendre
@@ -57,7 +58,9 @@ __all__ = [
     "euler_lagrange_residual_1d",
 ]
 
-_BISECT_ITERS = 120
+_GROW = 16.0  # bracket expansion factor: a no-root exit costs about 12 evaluations
+_ROOT_RTOL = 1e-13  # the level slopes are accurate to about 1e-12 relative
+_ANGLE_XTOL = 1e-15
 _ALPHA_HI_CAP = 1e12
 _ALPHA_LO_CAP = 1e-14
 _FULL_M = 2048
@@ -132,7 +135,7 @@ class _FullSlope:
 
     Fixed pair of angle grids (m and 2m) with warm-started radii across alpha
     values; one Richardson step removes the second-order polygon bias, so the
-    bisection sees the slope at roughly quadrature-refined accuracy.
+    level solve sees the slope at roughly quadrature-refined accuracy.
     """
 
     def __init__(self, model, m=_FULL_M):
@@ -170,41 +173,43 @@ class _ArcSlope:
         return mass / (2.0 * math.sqrt(max(area, 1e-300)))
 
 
+def _root(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> float:
+    """Root of fn on [lo, hi] to ``xtol`` + ``_ROOT_RTOL`` relative, by Brent's method (1973).
+
+    ``f_lo`` and ``f_hi``, fn at the ends (opposite signs or zero), are not evaluated again.
+    """
+    known = {lo: f_lo, hi: f_hi}
+    cached_fn = lambda x: known.pop(x) if x in known else fn(x)
+    return brentq(cached_fn, lo, hi, xtol=xtol, rtol=_ROOT_RTOL)
+
+
 def _solve_decreasing(fn, target: float):
     """Root of a strictly decreasing fn(alpha) = target on (0, inf).
 
-    Returns (alpha, None) on success.  (None, slope_at_cap) means the target
-    undershoots the attainable range (the area is too large); (None, None)
-    means it overshoots on the small-alpha side, so this branch has no root.
+    The bracket grows from alpha = 1 by the factor ``_GROW`` until it holds a
+    sign change, then :func:`_root` solves in it.  Returns (alpha, None) on
+    success.  (None, slope_at_cap) means the target undershoots the attainable
+    range (the area is too large); (None, None) means it overshoots on the
+    small-alpha side, so this branch has no root.
     """
     lo = hi = 1.0
-    if fn(1.0) > target:
-        while True:
-            hi *= 2.0
-            if hi > _ALPHA_HI_CAP:
-                return None, fn(_ALPHA_HI_CAP)
-            if fn(hi) <= target:
-                break
-        lo = hi / 2.0
+    f_lo = f_hi = fn(1.0)
+    if f_lo > target:
+        while f_hi > target:
+            if hi >= _ALPHA_HI_CAP:
+                return None, f_hi
+            lo, f_lo = hi, f_hi
+            hi = min(hi * _GROW, _ALPHA_HI_CAP)
+            f_hi = fn(hi)
     else:
-        while True:
-            lo *= 0.5
+        while f_lo <= target:
+            hi, f_hi = lo, f_lo
+            lo /= _GROW
             if lo < _ALPHA_LO_CAP:
                 return None, None
-            if fn(lo) > target:
-                break
-        hi = lo * 2.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fn(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * mid:
-            break
-    return 0.5 * (lo + hi), None
+            f_lo = fn(lo)
+    g = lambda a: fn(a) - target
+    return _root(g, lo, hi, f_lo - target, f_hi - target, _ROOT_RTOL * lo), None
 
 
 def symmetric_level(model: inc.IncrementModel, area: float) -> float:
@@ -212,8 +217,8 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
 
     Only for centrally symmetric full-plane models; the square-rooted
     sub-level area is strictly concave, so the slope is strictly decreasing
-    and plain bisection applies.  The slope is evaluated through the coarea
-    identity (full-level arc mass over twice the root area).
+    and a bracketed root finder applies.  The slope is evaluated through the
+    coarea identity (full-level arc mass over twice the root area).
     """
     if not (area > 0.0):
         raise ValueError("target area must be positive")
@@ -224,7 +229,7 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
     alpha, cap_slope = _solve_decreasing(_FullSlope(model), target)
     if alpha is None:
         if cap_slope is None:
-            raise NoConvergenceError("level bisection failed on the small-alpha side")
+            raise NoConvergenceError("level solve found no root on the small-alpha side")
         raise OutOfRangeError(
             "target area at or beyond the attainable range",
             a_max=1.0 / (2.0 * cap_slope ** 2),
@@ -248,7 +253,7 @@ def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
     """Directions where the level set meets the line through 0 symmetrically.
 
     Scans k angles on the half-circle for sign changes of the radius gap and
-    refines each by bisection.  Centrally symmetric models return the
+    refines each with :func:`_root`.  Centrally symmetric models return the
     ALL_DIRECTIONS sentinel (every direction qualifies).  Each root direction
     is returned with both signs and both orientations.  Roots of even
     multiplicity between grid nodes can be missed; raise k to refine.
@@ -271,7 +276,7 @@ def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
             roots.append(float(ti))
             continue
         if gi * gj < 0.0:
-            roots.append(_bisect_direction(model, alpha, ti, tj, gi))
+            roots.append(_direction_root(model, alpha, ti, tj, gi, gj))
     out = []
     for theta in _dedup_angles(roots):
         e = np.array([math.cos(theta), math.sin(theta)])
@@ -281,18 +286,16 @@ def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
     return out
 
 
-def _bisect_direction(model, alpha, lo, hi, g_lo, iters=60):
+def _direction_root(model, alpha, lo, hi, g_lo, g_hi) -> float:
+    """Angle in [lo, hi] where the radius gap changes sign; ray solves warm-started."""
     r = None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        g, r = _radius_gap(model, alpha, np.array([mid]), r0=r)
-        if g[0] == 0.0:
-            return float(mid)
-        if (g[0] > 0.0) == (g_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+
+    def gap(theta):
+        nonlocal r
+        g, r = _radius_gap(model, alpha, np.array([theta]), r0=r)
+        return g[0]
+
+    return float(_root(gap, lo, hi, g_lo, g_hi, _ANGLE_XTOL))
 
 
 def _dedup_angles(roots, tol=1e-9):
@@ -364,9 +367,9 @@ def _solve_candidate(model, theta, tau, area, n, scan_step):
         if abs(g_mid) <= scale:
             break
         if g_lo * g_mid < 0.0:
-            new_theta = _bisect_direction(model, alpha, theta - scan_step, theta, g_lo)
+            new_theta = _direction_root(model, alpha, theta - scan_step, theta, g_lo, g_mid)
         elif g_mid * g_hi < 0.0:
-            new_theta = _bisect_direction(model, alpha, theta, theta + scan_step, g_mid)
+            new_theta = _direction_root(model, alpha, theta, theta + scan_step, g_mid, g_hi)
         else:
             return None  # symmetric chord lost at this level
         if abs(new_theta - theta) <= 1e-12:
@@ -490,8 +493,9 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     """The two optimal curves for a graph model, their dual parameter and energy.
 
     Solves |mu1| E'(u) = 4 * area for the unique positive u (E' is strictly
-    increasing), builds the curve pair from the vertical cumulant, and
-    evaluates the shared energy by exact quadrature of the conjugate identity
+    increasing, so the decreasing -E' goes through the level-value solver),
+    builds the curve pair from the vertical cumulant, and evaluates the
+    shared energy by exact quadrature of the conjugate identity
     w K_y'(w) - K_y(w) over w in [-u, u].
     """
     if not (area > 0.0):
@@ -500,26 +504,9 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     a_max = _graph_a_max(mu1, y)
     if area >= a_max:
         raise OutOfRangeError("target area at or beyond the graph-model range", a_max=a_max)
-    target = 4.0 * area / abs(mu1)
-    hi = 1.0
-    for _ in range(300):
-        if _area_slope(y, hi) > target:
-            break
-        hi *= 2.0
-    else:
-        raise NoConvergenceError("dual-parameter bracket expansion failed")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _area_slope(y, mid) > target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(1.0, mid):
-            break
-    u = 0.5 * (lo + hi)
+    u, _ = _solve_decreasing(lambda v: -_area_slope(y, v), -4.0 * area / abs(mu1))
+    if u is None:
+        raise NoConvergenceError("dual-parameter solve found no bracket")
 
     val, _err = quad(
         lambda w: w * float(inc.y_cumulant_d1(y, np.array([w]))[0])
@@ -578,7 +565,7 @@ def euler_lagrange_residual_1d(model: inc.IncrementModel, traj: Trajectory, mult
     """Graph-model analogue on the vertical coordinate:
     multiplier * mu1 * t = I_y'(h2'(t)) - I_y'(h2'(0)), plus the endpoint defect."""
     mu1, _y = _vertical_cumulant_funcs(model)
-    w = np.array([legendre.rate_1d_gradient(model, float(v)) for v in traj.derivs[:, 1]])
+    w = legendre.rate_1d_gradient(model, traj.derivs[:, 1])
     res = float(np.max(np.abs(multiplier * mu1 * traj.times - (w - w[0]))))
     defect = float(abs(w[-1] + w[0]))
     return res + defect

@@ -147,6 +147,15 @@ def test_simulate_env_var_threads(specs, tmp_path, monkeypatch):
     assert json.loads(out.read_text())["config"]["threads"] == 2
 
 
+def test_non_integer_env_threads_is_parse_error(specs, monkeypatch, capsys):
+    # rejected while the parser is built, before any subcommand runs
+    monkeypatch.setenv("LDP_HULL_THREADS", "two")
+    code = main(["simulate", "--dist", specs["gauss_iso.json"], "--area", "0.1", "--steps", "8",
+                 "--samples", "500", "--mode", "naive", "--seed", "1"])
+    assert code == 1
+    assert "LDP_HULL_THREADS" in capsys.readouterr().err
+
+
 def test_json_floats_round_trip(specs, tmp_path):
     out = tmp_path / "rate.json"
     main(["rate", "--dist", specs["gauss_iso.json"], "--area", "0.7", "--output", str(out)])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import ldp_hull as lh
 from ldp_hull import increments as inc
@@ -22,6 +23,24 @@ def test_atoms_cumulant_two_term(two_atoms):
     expected = math.log((math.exp(1.0) + math.exp(-1.0)) / 2.0)
     assert lh.cumulant(two_atoms, [0.0, 1.0]) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(0.433781, abs=5e-7)
+
+
+def test_logsumexp_helper_matches_scipy():
+    rng = np.random.default_rng(11)
+    cases = [
+        rng.uniform(690.0, 710.0, size=(50, 4)),
+        rng.uniform(-710.0, -690.0, size=(50, 4)),
+        np.full((3, 5), 2.5),  # tied rows
+        np.array([[7.0, 7.0, -1.0], [-3.0, 4.0, 4.0]]),
+        300.0 * rng.normal(size=(20, 1)),  # a single column
+    ]
+    for scores in cases:
+        vals, weights = inc._logsumexp(scores)
+        np.testing.assert_allclose(vals, logsumexp(scores, axis=-1), rtol=1e-14, atol=0)
+        # shift by one exact score first so the reference weights keep full precision
+        shifted = scores - scores[:, :1]
+        ref = np.exp(shifted - logsumexp(shifted, axis=-1, keepdims=True))
+        np.testing.assert_allclose(weights, ref, rtol=1e-14, atol=0)
 
 
 def test_gradient_examples(iso, two_atoms):

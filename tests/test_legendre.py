@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ldp_hull as lh
+from ldp_hull import increments as inc
 from ldp_hull import legendre
 from ldp_hull.errors import NotFullPlaneError, OutsideDomainError
 
@@ -78,6 +79,50 @@ def test_rate_1d_gradient_inverts(graph_pm1, graph_gauss):
             from ldp_hull.increments import y_cumulant_d1
 
             assert float(y_cumulant_d1(y, np.array([w]))[0]) == pytest.approx(v, abs=1e-11)
+
+
+def scalar_y_gradient(y, v: float) -> float:
+    """Reference: the one-entry Newton/bisection solve of K_y'(w) = v."""
+    d1 = lambda w: float(inc.y_cumulant_d1(y, np.array([w]))[0])
+    lo, hi = -1.0, 1.0
+    while d1(lo) >= v:
+        lo *= 2.0
+    while d1(hi) <= v:
+        hi *= 2.0
+    w = 0.5 * (lo + hi)
+    for _ in range(200):
+        d = d1(w)
+        if d > v:
+            hi = w
+        else:
+            lo = w
+        cand = w + (v - d) / max(float(inc.y_cumulant_d2(y, np.array([w]))[0]), 1e-300)
+        w = cand if lo < cand < hi else 0.5 * (lo + hi)
+        if abs(d - v) <= 1e-14 * (1.0 + abs(v)) and hi - lo <= 1e-12 * (1.0 + abs(w)):
+            break
+    return w
+
+
+def scalar_rate_1d(y, v: float) -> float:
+    """Reference: one rate value per call, endpoint atoms by their log-mass."""
+    tol = 1e-12 * max(1.0, float(np.abs(y.points).max()))
+    for end in (y.points.min(), y.points.max()):
+        if abs(v - end) <= tol:
+            return -math.log(float(y.probs[y.points == end][0]))
+    w = scalar_y_gradient(y, v)
+    return max(0.0, w * v - float(inc.y_cumulant(y, np.array([w]))[0]))
+
+
+def test_batched_rate_1d_matches_scalar_loop(graph_pm1):
+    skewed = lh.graph1d(1.0, lh.atoms1d([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]))
+    for model, a in ((graph_pm1, 0.2), (graph_pm1, 0.249), (skewed, 0.3)):
+        y = model.kind.y_model
+        v = lh.graph_trajectory(model, a).plus.derivs[::8, 1]  # ends included
+        i_ref = np.array([scalar_rate_1d(y, float(x)) for x in v])
+        np.testing.assert_allclose(lh.rate_1d(model, v), i_ref, rtol=0, atol=1e-12)
+        inner = v[(v > y.points.min() + 1e-9) & (v < y.points.max() - 1e-9)]
+        w_ref = np.array([scalar_y_gradient(y, float(x)) for x in inner])
+        np.testing.assert_allclose(lh.rate_1d_gradient(model, inner), w_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_fenchel_young(iso, drift, square_atoms):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import ldp_hull as lh
 from ldp_hull import montecarlo as mc
@@ -79,18 +80,37 @@ def test_zero_tilt_reduces_to_naive(iso):
     # that a hand-built zero-tilt run reproduces it stream for stream
     n, samples, seed = 10, 1500, 9
     naive = lh.estimate_ldp(iso, 0.08, n, samples, mode="naive", seed=seed, threads=1)
-    tilts = np.zeros((n, 2))
+    draw = mc._increment_sampler(iso, np.zeros((n, 2)))
     hits = 0
     contrib = np.zeros(samples)
     for j in range(samples):
         gen = mc._generator(seed, j)
-        X = mc._sample_increments(iso, n, gen, tilts)
+        X = draw(gen)
         pts = np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
         if mc.hull_area_points(pts) >= 0.08 * n * n:
             hits += 1
             contrib[j] = 1.0
     assert hits == naive.hits
     assert -math.log(contrib.mean()) / n == pytest.approx(naive.rate, abs=1e-14)
+
+
+def test_log_mean_exp_below_exp_underflow():
+    # weights near exp(-1000) underflow to 0 in the linear domain
+    rng = np.random.default_rng(5)
+    log_w = -1000.0 + rng.uniform(-5.0, 5.0, size=200)
+    assert not np.any(np.exp(log_w))
+    ref = float(logsumexp(log_w)) - math.log(300)
+    assert mc._log_mean_exp(log_w, 300) == pytest.approx(ref, rel=1e-14)
+    assert mc._log_mean_exp(log_w[::-1], 300) == mc._log_mean_exp(log_w, 300)
+    assert mc._log_mean_exp(np.full(4, -math.inf), 300) == -math.inf
+
+
+def test_deep_tail_estimate_keeps_its_hits(iso):
+    # n J = 300 pi: every importance weight is below exp(-745)
+    est = lh.estimate_ldp(iso, 1.0, 300, 300, mode="tilted", seed=7, threads=1)
+    assert est.hits > 0 and not est.zero_hits
+    assert est.stderr is not None
+    assert est.rate == pytest.approx(math.pi, rel=0.1)
 
 
 def test_zero_hits_reported_not_fatal(graph_pm1):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +235,70 @@ def test_rate_of_area_no_candidate(triangle_atoms):
 def test_rate_of_area_rejects_bad_area(iso):
     with pytest.raises(ValueError):
         lh.rate_of_area(iso, 0.0)
+
+
+def bisect_decreasing(fn, target):
+    """Reference level solve: doubling bracket, then one bisection step per evaluation."""
+    lo = hi = 1.0
+    if fn(1.0) > target:
+        while True:
+            hi *= 2.0
+            if hi > 1e12:
+                return None, fn(1e12)
+            if fn(hi) <= target:
+                break
+        lo = hi / 2.0
+    else:
+        while True:
+            lo *= 0.5
+            if lo < 1e-14:
+                return None, None
+            if fn(lo) > target:
+                break
+        hi = lo * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * mid:
+            break
+    return 0.5 * (lo + hi), None
+
+
+DECREASING = {
+    "inv_sqrt": (lambda a: 1.0 / math.sqrt(a), (1e-8, 0.05, 0.7, 1.0, 3.0, 1e4, 1e8)),
+    "neg_log": (lambda a: -math.log(a), (-30.0, -2.0, 0.0, 0.5, 25.0, 40.0)),
+    "bounded": (lambda a: math.exp(-a) + 1.0 / (1.0 + a), (-1.0, 0.3, 1.2, 1.9, 2.5)),
+    "steep": (lambda a: 1.0 / a + 1.0 / (a * a), (1e-20, 1e-3, 2.0, 50.0, 1e30)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECREASING))
+def test_level_solve_matches_bisection(name):
+    fn, targets = DECREASING[name]
+    for target in targets:
+        calls = []
+        got, cap = solver._solve_decreasing(lambda a: calls.append(a) or fn(a), target)
+        ref, ref_cap = bisect_decreasing(fn, target)
+        assert (got is None) == (ref is None), target
+        if ref is None:
+            assert cap == ref_cap, target
+            assert len(calls) <= 12, target
+        else:
+            assert got == pytest.approx(ref, rel=1e-12, abs=0), target
+
+
+REPRO_OUT = Path(__file__).resolve().parent.parent / "repro" / "out"
+
+
+@pytest.mark.parametrize("path", sorted(REPRO_OUT.glob("rate_*.json")), ids=lambda p: p.name)
+def test_repro_rates_reproduced(path):
+    payload = json.loads(path.read_text())
+    cfg = payload["config"]
+    model = lh.from_spec(json.loads((REPRO_OUT.parent.parent / cfg["dist"]).read_text()))
+    res = lh.rate_of_area(
+        model, cfg["area"], eps=cfg["eps"], directions=cfg["directions"], samples=cfg["samples"]
+    )
+    assert res.rate == pytest.approx(payload["rate"], rel=1e-10, abs=0)
