@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=env_threads,
-            help="worker threads for sampling (default: machine parallelism)",
+            help="accepted and echoed in the config; sampling runs on one thread",
         )
 
     def solve_args(sp):

@@ -6,11 +6,17 @@ is traced by shooting rays from the origin.  The line through the origin in
 direction ``ell`` cuts it into two arcs, selected by the orientation flag
 ``tau`` (+1 keeps the counterclockwise side ``u . perp(ell) >= 0``).
 
-Areas and arc masses use trapezoid quadrature along the traced polygon with
-the sample count doubled until the relative change drops below a tolerance;
-uniform angles plus this doubling keep the scheme auditable.  Ray solves
-within one trace are independent scalar root finds evaluated as a vectorized
-batch; results are deterministic.
+Every level-set quantity comes from one quadrature, :func:`_quadrature`: ray
+solves at given angles, then the chord-closed shoelace area and the
+per-segment trapezoid increments of 1/|grad K| (the coarea mass) and of
+(u . grad K - alpha)/|grad K| (the energy) along the traced polygon.  The
+whole level set is the arc over [0, 2 pi], its last ray repeating the first.
+The public functions double a uniform angle grid until the quadrature settles
+to a relative tolerance (:func:`_refine`, which raises
+:class:`NoConvergenceError` at the grid cap); the solver instead takes a
+fixed pair of grids and one Richardson step (:func:`_extrapolated`).  Ray
+solves within one trace are independent scalar root finds evaluated as a
+vectorized batch; results are deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import increments as inc
 from .errors import NoConvergenceError, NotFullPlaneError
-from .polyline import PolygonalLine
+from .polyline import PolygonalLine, _perp, _polygon_area
 
 __all__ = [
     "LevelArc",
@@ -58,13 +64,6 @@ class LevelArc:
     samples: np.ndarray
     derivs: np.ndarray
     mass: float
-
-
-def _perp(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    return out
 
 
 def _check_args(model: inc.IncrementModel, alpha: float, what: str) -> None:
@@ -173,23 +172,8 @@ def trace_level(model: inc.IncrementModel, alpha: float, m: int = 2048) -> Polyg
     return PolygonalLine(np.vstack([pts, pts[:1]]))
 
 
-def _polygon_area_signed(pts: np.ndarray) -> float:
-    nxt = np.roll(pts, -1, axis=0)
-    return 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]))
-
-
-def _full_values(model, alpha, m, r0=None):
-    """(area, mass, radii) of the full level set on an m-angle uniform grid."""
-    angles = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    dirs = _dirs_of(angles)
-    r = _ray_radii(model, alpha, dirs, r0=r0)
-    pts = dirs * r[:, None]
-    area = abs(_polygon_area_signed(pts))
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    f = 1.0 / np.linalg.norm(inc.cumulant_gradient(model, closed), axis=1)
-    mass = float(np.sum(0.5 * (f[:-1] + f[1:]) * seg))
-    return area, mass, r
+def _ring_angles(m: int) -> np.ndarray:
+    return np.linspace(0.0, 2.0 * np.pi, m + 1)
 
 
 def _arc_angles(ell: np.ndarray, tau: int, m: int) -> np.ndarray:
@@ -197,12 +181,15 @@ def _arc_angles(ell: np.ndarray, tau: int, m: int) -> np.ndarray:
     return theta0 + tau * np.pi * np.linspace(0.0, 1.0, m + 1)
 
 
-def _arc_values(model, alpha, angles, r0=None, with_energy=False):
-    """Quantities of one arc sampled at ``angles``.
+def _quadrature(model, alpha, angles, r0=None):
+    """Trapezoid quadrature along the level set traced at ``angles``.
 
-    Returns (half area, arc mass, energy integral or None, radii).  The energy
-    integral is the arc-length quadrature of (u . grad K(u) - alpha)/|grad K|,
-    which the solver divides by the arc mass to get a trajectory energy.
+    Returns (area, mass, energy, radii): the shoelace area of the traced
+    points closed by the chord from last to first (for an arc, along
+    ``ell * R``), the per-segment increments of the arc-length integrals of
+    1/|grad K| and of (u . grad K(u) - alpha)/|grad K|, and the ray radii for
+    warm starts.  The solver divides the energy integral by the mass to get a
+    trajectory energy.
     """
     dirs = _dirs_of(angles)
     r = _ray_radii(model, alpha, dirs, r0=r0)
@@ -211,56 +198,71 @@ def _arc_values(model, alpha, angles, r0=None, with_energy=False):
     grads = inc.cumulant_gradient(model, pts)
     gn = np.linalg.norm(grads, axis=1)
     f = 1.0 / gn
-    mass = float(np.sum(0.5 * (f[:-1] + f[1:]) * seg))
-    area = abs(_polygon_area_signed(pts))  # chord closure along ell * R
-    energy = None
-    if with_energy:
-        e = (np.einsum("ij,ij->i", pts, grads) - alpha) / gn
-        energy = float(np.sum(0.5 * (e[:-1] + e[1:]) * seg))
-    return area, mass, energy, r
+    e = (np.einsum("ij,ij->i", pts, grads) - alpha) / gn
+    mass = 0.5 * (f[:-1] + f[1:]) * seg
+    energy = 0.5 * (e[:-1] + e[1:]) * seg
+    return abs(_polygon_area(pts)), mass, energy, r
 
 
-def _refine(values_fn, m0: int, rtol: float):
-    """Double the grid until every returned quantity stabilizes to ``rtol``."""
-    m = m0
-    prev = None
+def _extrapolated(model, alpha, grids, radii) -> np.ndarray:
+    """(area, mass, energy) from a coarse and a fine grid and one Richardson step.
+
+    ``grids`` holds the coarse angles and the fine ones at twice the count;
+    ``radii`` holds a warm start per grid (or None) and receives the new radii.
+    The step removes the second-order polygon-inscription bias.
+    """
+    vals = []
+    for i, angles in enumerate(grids):
+        area, mass, energy, radii[i] = _quadrature(model, alpha, angles, radii[i])
+        vals.append(np.array([area, np.sum(mass), np.sum(energy)]))
+    return (4.0 * vals[1] - vals[0]) / 3.0
+
+
+def _refine(model, alpha, angles_of, m0: int, rtol: float, settle):
+    """Angles and :func:`_quadrature` of the first grid, doubling from ``m0``
+    segments, on which ``settle(area, mass)`` has changed by at most ``rtol``
+    relative since the grid before.  Raises at ``_M_CAP`` segments."""
+    m, prev = m0, None
     while True:
-        vals = values_fn(m)
+        angles = angles_of(m)
+        quad = _quadrature(model, alpha, angles)
+        vals = settle(quad[0], float(np.sum(quad[1])))
         if prev is not None and all(
             abs(v - p) <= rtol * max(abs(p), 1e-300) for v, p in zip(vals, prev)
         ):
-            return vals, m
+            return angles, quad
         if m >= _M_CAP:
-            return vals, m
-        prev = vals
-        m *= 2
+            raise NoConvergenceError(
+                f"level-set quadrature did not settle to rtol={rtol:g} by {m} segments"
+            )
+        prev, m = vals, 2 * m
+
+
+def _area_mass(model, alpha, angles_of, m0: int, rtol: float) -> tuple[float, float]:
+    """Area and mass, refined until both settle."""
+    both = lambda area, mass: (area, mass)
+    _, (area, mass, _, _) = _refine(model, alpha, angles_of, m0, rtol, both)
+    return area, float(np.sum(mass))
 
 
 def sublevel_area(model: inc.IncrementModel, alpha: float, rtol: float = _REFINE_RTOL) -> float:
     """Area of the sub-level set {K <= alpha}."""
     _check_args(model, alpha, "sublevel_area")
-    (area, _), _ = _refine(lambda m: _full_values(model, alpha, m)[:2], 256, rtol)
-    return area
+    return _area_mass(model, alpha, _ring_angles, 256, rtol)[0]
 
 
 def half_area(model, alpha: float, ell, tau, rtol: float = _REFINE_RTOL) -> float:
     """Area of the part of {K <= alpha} on side ``tau`` of the line through ``ell``."""
     _check_args(model, alpha, "half_area")
     ell, tau = _unit(ell), _check_tau(tau)
-    (area, _), _ = _refine(
-        lambda m: _arc_values(model, alpha, _arc_angles(ell, tau, m))[:2], 512, rtol
-    )
-    return area
+    return _area_mass(model, alpha, lambda m: _arc_angles(ell, tau, m), 512, rtol)[0]
 
 
 def arc_mass(model, alpha: float, ell, tau, rtol: float = _REFINE_RTOL) -> float:
     """Integral of 1/|grad K| in arc length over the selected level-set arc."""
     _check_args(model, alpha, "arc_mass")
     ell, tau = _unit(ell), _check_tau(tau)
-    (_, mass), _ = _refine(
-        lambda m: _arc_values(model, alpha, _arc_angles(ell, tau, m))[:2], 512, rtol
-    )
-    return mass
+    return _area_mass(model, alpha, lambda m: _arc_angles(ell, tau, m), 512, rtol)[1]
 
 
 def half_area_derivative(model, alpha: float, ell, tau, rtol: float = _REFINE_RTOL) -> float:
@@ -294,25 +296,12 @@ def arc_parametrization(
     if n < 2:
         raise ValueError("need at least 2 segments")
 
-    def mass_increments(m):
-        angles = _arc_angles(ell, tau, m)
-        dirs = _dirs_of(angles)
-        pts = dirs * _ray_radii(model, alpha, dirs)[:, None]
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        f = 1.0 / np.linalg.norm(inc.cumulant_gradient(model, pts), axis=1)
-        incr = 0.5 * (f[:-1] + f[1:]) * seg
-        return angles, incr, float(np.sum(incr))
-
-    # double the grid until the mass settles; each grid is traced once
-    m = max(4096, 4 * n)
-    angles, incr, mass = mass_increments(m)
-    while m < _M_CAP:
-        angles2, incr2, mass2 = mass_increments(2 * m)
-        settled = abs(mass2 - mass) <= rtol * mass
-        angles, incr, mass, m = angles2, incr2, mass2, 2 * m
-        if settled:
-            break
-
+    # double the grid until the mass alone settles
+    mass_only = lambda area, mass: (mass,)
+    angles_of = lambda m: _arc_angles(ell, tau, m)
+    angles, (_, incr, _, _) = _refine(model, alpha, angles_of, max(4096, 4 * n), rtol, mass_only)
+    m = len(incr)
+    mass = float(np.sum(incr))
     cum = np.concatenate([[0.0], np.cumsum(incr)])
     cum[-1] = mass  # guard cumsum roundoff at the far endpoint
     targets = np.linspace(0.0, mass, n + 1)

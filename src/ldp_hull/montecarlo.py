@@ -11,15 +11,13 @@ log(mode count)/n; this vanishes in the limit but is visible at moderate n.
 
 Randomness is counter-based: sample j of a run draws from a Philox stream
 keyed by (seed, j), and step i consumes the i-th draw of that stream, so
-results are reproducible and independent of the thread schedule.  Estimator
+results are reproducible and independent of the order walks run in.  Estimator
 reductions use exactly-rounded summation, hence are order-insensitive.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +25,9 @@ import numpy as np
 from . import increments as inc
 from . import legendre
 from . import solver
-from .polyline import convex_hull_vertices
+from .polyline import _polygon_area, convex_hull_vertices
 
 __all__ = ["WalkSample", "LdpEstimate", "simulate_walk", "hull_area_points", "estimate_ldp"]
-
-_CHUNK = 1024
 
 
 @dataclass
@@ -118,8 +114,7 @@ def hull_area_points(points) -> float:
     hull = convex_hull_vertices(points)
     if len(hull) < 3:
         return 0.0
-    x, y = hull[:, 0], hull[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return abs(_polygon_area(hull))
 
 
 def simulate_walk(
@@ -186,7 +181,9 @@ def estimate_ldp(
     tilted law along the optimal trajectory and averages indicator * weight,
     in the log domain, so ``zero_hits`` means no walk reached the threshold.
     The standard error comes from batch means over ``batches`` blocks (None
-    when a block has no hit).
+    when a block has no hit).  Walks run serially: the per-walk work holds
+    the interpreter lock, so a thread pool never ran faster; ``threads`` is
+    accepted and ignored.
     """
     if mode not in ("naive", "tilted"):
         raise ValueError("mode must be 'naive' or 'tilted'")
@@ -200,21 +197,11 @@ def estimate_ldp(
     draw = _increment_sampler(model, tilts)
     log_w = np.full(samples, -math.inf)  # log weight of each hit; -inf for a miss
 
-    def run_chunk(start: int, stop: int) -> None:
-        for j in range(start, stop):
-            X = draw(_generator(seed, j))
-            pts = np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
-            if hull_area_points(pts) >= threshold:
-                log_w[j] = log_norm - float(np.einsum("ij,ij->", tilts, X))
-
-    starts = range(0, samples, _CHUNK)
-    nthreads = threads if threads is not None else (os.cpu_count() or 1)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(lambda s: run_chunk(s, min(s + _CHUNK, samples)), starts))
-    else:
-        for s in starts:
-            run_chunk(s, min(s + _CHUNK, samples))
+    for j in range(samples):
+        X = draw(_generator(seed, j))
+        pts = np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
+        if hull_area_points(pts) >= threshold:
+            log_w[j] = log_norm - float(np.einsum("ij,ij->", tilts, X))
 
     hits = int(np.count_nonzero(log_w > -math.inf))
     if hits == 0:

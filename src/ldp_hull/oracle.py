@@ -22,7 +22,7 @@ import numpy as np
 from . import increments as inc
 from . import legendre
 from .errors import NoConvergenceError, NotFullPlaneError
-from .polyline import convexification_order
+from .polyline import _perp, convexification_order
 
 __all__ = ["DiscreteCurve", "minimize_discrete", "convexify_curve", "curve_points"]
 
@@ -41,13 +41,6 @@ def curve_points(curve: "DiscreteCurve | np.ndarray") -> np.ndarray:
     v = curve.velocities if isinstance(curve, DiscreteCurve) else np.asarray(curve, float)
     pts = np.vstack([np.zeros(2), np.cumsum(v, axis=0) / len(v)])
     return pts
-
-
-def _perp(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    return out
 
 
 def signed_area(velocities: np.ndarray) -> float:

@@ -63,6 +63,14 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def _perp(v: np.ndarray) -> np.ndarray:
+    """Counterclockwise quarter-turn of each planar vector."""
+    out = np.empty_like(v)
+    out[..., 0] = -v[..., 1]
+    out[..., 1] = v[..., 0]
+    return out
+
+
 def convex_hull_vertices(points) -> np.ndarray:
     """Convex hull of a point set by Andrew's monotone chain, counterclockwise.
 
@@ -97,9 +105,10 @@ def convex_hull_vertices(points) -> np.ndarray:
 
 
 def _polygon_area(vertices: np.ndarray) -> float:
-    # Shoelace over the implicitly closed vertex cycle.
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    # Shoelace over the implicitly closed vertex cycle.  Summing the cross
+    # products pairwise keeps the rounding well below that of two dot
+    # products, which the level solves would see as slope noise.
+    return 0.5 * float(np.sum(_cross(vertices, np.roll(vertices, -1, axis=0))))
 
 
 def hull_area(line) -> float:

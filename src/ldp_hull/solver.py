@@ -34,15 +34,15 @@ from .errors import (
 from .legendre import Trajectory
 from .levelset import (
     _arc_angles,
-    _arc_values,
     _check_args,
     _dirs_of,
-    _full_values,
-    _perp,
+    _extrapolated,
     _ray_radii,
+    _ring_angles,
     _unit,
     arc_parametrization,
 )
+from .polyline import _perp
 
 __all__ = [
     "ALL_DIRECTIONS",
@@ -65,6 +65,7 @@ _ALPHA_HI_CAP = 1e12
 _ALPHA_LO_CAP = 1e-14
 _FULL_M = 2048
 _ARC_M = 4096
+_ENERGY_M = 8192
 _LADDER = (1e-1, 1e-2, 1e-3)
 
 
@@ -130,46 +131,22 @@ class GraphSolution:
 # ---------------------------------------------------------------------------
 # Monotone scalar solves in the level value
 
-class _FullSlope:
-    """alpha -> d sqrt(E)/d alpha for the full sub-level area.
+class _LevelSlope:
+    """alpha -> d sqrt(area)/d alpha of the level set traced on ``angles_of(m)``.
 
+    ``angles_of`` gives the whole level set (``_ring_angles``) or one arc.
     Fixed pair of angle grids (m and 2m) with warm-started radii across alpha
     values; one Richardson step removes the second-order polygon bias, so the
     level solve sees the slope at roughly quadrature-refined accuracy.
     """
 
-    def __init__(self, model, m=_FULL_M):
+    def __init__(self, model, angles_of, m):
         self.model = model
-        self.m = m
+        self.grids = (angles_of(m), angles_of(2 * m))
         self._radii = [None, None]
 
     def __call__(self, alpha: float) -> float:
-        a1, l1, self._radii[0] = _full_values(self.model, alpha, self.m, r0=self._radii[0])
-        a2, l2, self._radii[1] = _full_values(
-            self.model, alpha, 2 * self.m, r0=self._radii[1]
-        )
-        area = (4.0 * a2 - a1) / 3.0
-        mass = (4.0 * l2 - l1) / 3.0
-        return mass / (2.0 * math.sqrt(max(area, 1e-300)))
-
-
-class _ArcSlope:
-    """alpha -> d sqrt(half area)/d alpha for one fixed arc, warm-started."""
-
-    def __init__(self, model, ell, tau, m=_ARC_M):
-        self.model = model
-        self.angles = [_arc_angles(ell, tau, m), _arc_angles(ell, tau, 2 * m)]
-        self._radii = [None, None]
-
-    def __call__(self, alpha: float) -> float:
-        a1, l1, _, self._radii[0] = _arc_values(
-            self.model, alpha, self.angles[0], r0=self._radii[0]
-        )
-        a2, l2, _, self._radii[1] = _arc_values(
-            self.model, alpha, self.angles[1], r0=self._radii[1]
-        )
-        area = (4.0 * a2 - a1) / 3.0
-        mass = (4.0 * l2 - l1) / 3.0
+        area, mass, _ = _extrapolated(self.model, alpha, self.grids, self._radii)
         return mass / (2.0 * math.sqrt(max(area, 1e-300)))
 
 
@@ -226,7 +203,7 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
     if not inc.is_centrally_symmetric(model):
         raise NotSymmetricError("symmetric_level needs a centrally symmetric law")
     target = 1.0 / math.sqrt(2.0 * area)
-    alpha, cap_slope = _solve_decreasing(_FullSlope(model), target)
+    alpha, cap_slope = _solve_decreasing(_LevelSlope(model, _ring_angles, _FULL_M), target)
     if alpha is None:
         if cap_slope is None:
             raise NoConvergenceError("level solve found no root on the small-alpha side")
@@ -309,22 +286,13 @@ def _dedup_angles(roots, tol=1e-9):
 # ---------------------------------------------------------------------------
 # Trajectories
 
-def _refined_arc(model, alpha, ell, tau, m=8192):
-    """(half area, mass, energy integral) with one Richardson extrapolation step."""
-    a1, l1, e1, _ = _arc_values(model, alpha, _arc_angles(ell, tau, m), with_energy=True)
-    a2, l2, e2, _ = _arc_values(
-        model, alpha, _arc_angles(ell, tau, 2 * m), with_energy=True
-    )
-    rich = lambda c, f: (4.0 * f - c) / 3.0
-    return rich(a1, a2), rich(l1, l2), rich(e1, e2)
-
-
 def _build(model, alpha, ell, tau, n) -> tuple[Trajectory, float]:
     arc = arc_parametrization(model, alpha, ell, tau, n)
     pts = -(1.0 / (arc.tau * arc.mass)) * _perp(arc.samples - arc.samples[0])
     pts[0] = 0.0
     derivs = inc.cumulant_gradient(model, arc.samples)
-    _, lam_r, eint = _refined_arc(model, arc.alpha, arc.ell, arc.tau)
+    grids = [_arc_angles(arc.ell, arc.tau, m) for m in (_ENERGY_M, 2 * _ENERGY_M)]
+    _, lam_r, eint = _extrapolated(model, arc.alpha, grids, [None, None])
     return Trajectory(arc.times, pts, derivs, energy=eint / lam_r), arc.mass
 
 
@@ -358,7 +326,8 @@ def _solve_candidate(model, theta, tau, area, n, scan_step):
     alpha = None
     for _ in range(30):
         ell = np.array([math.cos(theta), math.sin(theta)])
-        alpha, _cap = _solve_decreasing(_ArcSlope(model, ell, tau), target)
+        arc_slope = _LevelSlope(model, lambda m: _arc_angles(ell, tau, m), _ARC_M)
+        alpha, _cap = _solve_decreasing(arc_slope, target)
         if alpha is None:
             return None
         gaps, _ = _radius_gap(model, alpha, np.array([theta - scan_step, theta, theta + scan_step]))
@@ -386,7 +355,9 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
         ell = np.array([1.0, 0.0])
         cands = [_candidate(model, alpha, ell, tau, n) for tau in (+1, -1)]
     else:
-        seed_alpha, cap = _solve_decreasing(_FullSlope(model), 1.0 / math.sqrt(2.0 * area))
+        seed_alpha, cap = _solve_decreasing(
+            _LevelSlope(model, _ring_angles, _FULL_M), 1.0 / math.sqrt(2.0 * area)
+        )
         if seed_alpha is None:
             seed_alpha = 1.0
         found = candidate_directions(model, seed_alpha, directions)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldp_hull as lh
 from ldp_hull import increments as inc
-from ldp_hull import levelset
-from ldp_hull.errors import NotFullPlaneError
+from ldp_hull import levelset, solver
+from ldp_hull.errors import NoConvergenceError, NotFullPlaneError
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,60 @@ def test_full_level_coarea(iso):
             iso, alpha, [1.0, 0.0], -1
         )
         assert lam_full == pytest.approx(2 * math.pi, rel=1e-7)
+
+
+_unit_interval = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    eigs=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    phi=st.floats(0.0, math.pi),
+    mean=st.tuples(_unit_interval, _unit_interval),
+    alpha=st.floats(0.2, 3.0),
+    theta=st.floats(0.0, 2 * math.pi),
+)
+def test_gaussian_level_set_closed_forms(eigs, phi, mean, alpha, theta):
+    # K(u) = mu.u + u.Cu/2: {K <= alpha} is an ellipse of area
+    # 2 pi (alpha + mu.C^-1.mu/2)/sqrt(det C), so its coarea mass is 2 pi/sqrt(det C)
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    cov = rot @ np.diag(eigs) @ rot.T
+    mu = np.array(mean)
+    model = lh.gaussian(mu, cov)
+    root_det = math.sqrt(np.linalg.det(cov))
+    area = 2 * math.pi * (alpha + 0.5 * mu @ np.linalg.solve(cov, mu)) / root_det
+    ell = [math.cos(theta), math.sin(theta)]
+    assert lh.sublevel_area(model, alpha) == pytest.approx(area, rel=1e-6)
+    halves = [lh.half_area(model, alpha, ell, tau) for tau in (+1, -1)]
+    assert sum(halves) == pytest.approx(area, rel=1e-6)
+    masses = [lh.arc_mass(model, alpha, ell, tau) for tau in (+1, -1)]
+    assert sum(masses) == pytest.approx(2 * math.pi / root_det, rel=1e-6)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.3, 4.0), theta=st.floats(0.0, 2 * math.pi), tau=st.sampled_from([1, -1]))
+def test_ring_slope_is_root_two_arc_slopes_on_square_law(square_atoms, alpha, theta, tau):
+    # central symmetry: the ring has twice the area and twice the mass of each half
+    ell = np.array([math.cos(theta), math.sin(theta)])
+    ring = solver._LevelSlope(square_atoms, levelset._ring_angles, solver._FULL_M)
+    arc = solver._LevelSlope(
+        square_atoms, lambda m: levelset._arc_angles(ell, tau, m), solver._ARC_M
+    )
+    assert ring(alpha) == pytest.approx(math.sqrt(2) * arc(alpha), rel=1e-10)
+
+
+def test_refinement_cap_raises(iso, monkeypatch):
+    monkeypatch.setattr(levelset, "_M_CAP", 1024)
+    with pytest.raises(NoConvergenceError):
+        lh.sublevel_area(iso, 0.5, rtol=1e-15)
+    with pytest.raises(NoConvergenceError):
+        lh.half_area(iso, 0.5, [1.0, 0.0], +1, rtol=1e-15)
+    with pytest.raises(NoConvergenceError):
+        lh.arc_mass(iso, 0.5, [1.0, 0.0], -1, rtol=1e-15)
+    with pytest.raises(NoConvergenceError):
+        lh.arc_parametrization(iso, 0.5, [1.0, 0.0], +1, n=64)
+    # below the cap the same calls settle
+    assert lh.sublevel_area(iso, 0.5, rtol=1e-4) == pytest.approx(math.pi, rel=1e-4)
 
 
 def test_arc_parametrization_circle(iso):
