@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import NoConvergenceError
 from .polyline import convex_hull_vertices
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
 
 _PROB_TOL = 1e-12
 _COLLINEAR_TOL = 1e-12
+_ROOT_ROUNDS = 200
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -186,6 +188,39 @@ def _logsumexp(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(scores - top)
     total = e.sum(axis=-1, keepdims=True)
     return np.log(total[..., 0]) + top[..., 0], e / total
+
+
+def _increasing_root(fn, x0, lo, hi, ftol, xtol=math.inf) -> np.ndarray:
+    """Per-entry root of f on the bracket (lo, hi), where f < 0 below the root
+    and f > 0 above it, by one batched safeguarded Newton iteration.
+
+    ``fn(x)`` returns (f, f') at every entry of ``x``.  Each evaluation narrows
+    the entry's bracket by the sign of f; the next iterate is the Newton step
+    when it lies strictly inside the bracket, else the bracket midpoint.  While
+    ``hi`` is infinite the upper end is capped at 2 lo + 1, so a near-flat f
+    cannot throw the iterate far past the root.  An entry is done, and frozen
+    at the point just evaluated, once |f| <= ftol and the bracket is at most
+    xtol (1 + |x|) wide; every entry is evaluated on every round.
+    """
+    x = np.array(x0, dtype=float)
+    lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
+    done = np.zeros(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ROOT_ROUNDS):
+            f, df = fn(x)
+            above = f > 0.0
+            lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+            done |= (np.abs(f) <= ftol) & (hi - lo <= xtol * (1.0 + np.abs(x)))
+            if done.all():
+                return x
+            top = np.where(np.isinf(hi), 2.0 * lo + 1.0, hi)
+            step = x - f / df
+            step = np.where((lo < step) & (step < top), step, 0.5 * (lo + top))
+            x = np.where(done, x, step)
+    raise NoConvergenceError(
+        f"root solve: {int(np.sum(~done))} of {done.size} entries unsettled "
+        f"after {_ROOT_ROUNDS} rounds"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -236,8 +236,8 @@ def _solve_y_gradient(y, v: np.ndarray) -> np.ndarray:
     """Solve K_y'(w) = v per entry of a 1-D array v interior to the support hull.
 
     K_y' is increasing: per entry, a bracket doubled out from [-1, 1], then
-    Newton steps (the bracket midpoint when a step leaves it) until residual
-    and bracket are at rounding level.  Entries advance as one batch.
+    the batched safeguarded Newton of :func:`increments._increasing_root` from
+    its midpoint until residual and bracket are at rounding level.
     """
     if isinstance(y, inc.Gaussian1D):
         return (v - y.mean) / y.var
@@ -249,23 +249,14 @@ def _solve_y_gradient(y, v: np.ndarray) -> np.ndarray:
             break
         lo[grow_lo] *= 2.0
         hi[grow_hi] *= 2.0
-    w = 0.5 * (lo + hi)
-    live = np.arange(len(v))
-    for _ in range(200):
-        if not len(live):
-            break
-        wl, vl = w[live], v[live]
-        d = inc.y_cumulant_d1(y, wl)
-        above = d > vl
-        hi[live[above]] = wl[above]
-        lo[live[~above]] = wl[~above]
-        lo_l, hi_l = lo[live], hi[live]
-        cand = wl + (vl - d) / np.maximum(inc.y_cumulant_d2(y, wl), 1e-300)
-        wl = np.where((lo_l < cand) & (cand < hi_l), cand, 0.5 * (lo_l + hi_l))
-        w[live] = wl
-        small = np.abs(d - vl) <= 1e-14 * (1.0 + np.abs(vl))
-        live = live[~(small & (hi_l - lo_l <= 1e-12 * (1.0 + np.abs(wl))))]
-    return w
+    else:
+        raise NoConvergenceError("no bracket for K_y'(w) = v; is v interior to the support?")
+
+    def residual(w):
+        return inc.y_cumulant_d1(y, w) - v, inc.y_cumulant_d2(y, w)
+
+    ftol = 1e-14 * (1.0 + np.abs(v))
+    return inc._increasing_root(residual, 0.5 * (lo + hi), lo, hi, ftol, xtol=1e-12)
 
 
 def _y_query(model: inc.IncrementModel, v):

@@ -98,56 +98,20 @@ def _ray_radii(
     """Radii r > 0 with K(r * dir) = alpha for each unit row of ``dirs``.
 
     Unique because K is convex with K(0) = 0 < alpha and grows to infinity
-    along every ray.  Without a warm start: bisection bracket plus Newton
-    polish.  With ``r0`` from a nearby solve: safeguarded Newton only (the
-    restriction of K to the ray is convex, so Newton from the increasing
-    branch converges monotonically).
+    along every ray, so K(r * dir) - alpha is negative below the root and
+    positive above it (it may dip first, on rays against the drift).  One
+    safeguarded Newton solve on the bracket (0, inf), started from ``r0`` (the
+    radii of a nearby solve) or from 1, until every residual is at most
+    ``_RAY_TOL * max(1, alpha)``; raises :class:`NoConvergenceError` otherwise.
     """
-    tol = _RAY_TOL * max(1.0, alpha)
-    if r0 is not None:
-        r = np.array(r0, dtype=float)
-        for _ in range(60):
-            slope = np.einsum(
-                "ij,ij->i", dirs, inc.cumulant_gradient(model, dirs * r[:, None])
-            )
-            flat = slope <= 1e-300
-            if not flat.any():
-                break
-            r[flat] *= 2.0
-        for _ in range(50):
-            u = dirs * r[:, None]
-            f = inc.cumulant(model, u) - alpha
-            if np.all(np.abs(f) <= tol):
-                return r
-            slope = np.einsum("ij,ij->i", dirs, inc.cumulant_gradient(model, u))
-            step = f / slope
-            r = np.maximum(r - step, 0.25 * r)
-        # fall through to the bracketing solve on failure
 
-    m = len(dirs)
-    hi = np.ones(m)
-    for _ in range(300):
-        high = inc.cumulant(model, dirs * hi[:, None]) > alpha
-        if high.all():
-            break
-        hi[~high] *= 2.0
-    else:
-        raise NoConvergenceError("ray bracket expansion failed; is the model full-plane?")
-    lo = np.zeros(m)
-    for _ in range(45):
-        mid = 0.5 * (lo + hi)
-        above = inc.cumulant(model, dirs * mid[:, None]) > alpha
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    r = 0.5 * (lo + hi)
-    for _ in range(10):
+    def residual(r):
         u = dirs * r[:, None]
-        f = inc.cumulant(model, u) - alpha
-        if np.all(np.abs(f) <= tol):
-            break
         slope = np.einsum("ij,ij->i", dirs, inc.cumulant_gradient(model, u))
-        r = np.clip(r - f / slope, lo, hi)
-    return r
+        return inc.cumulant(model, u) - alpha, slope
+
+    x0 = np.ones(len(dirs)) if r0 is None else r0
+    return inc._increasing_root(residual, x0, 0.0, math.inf, _RAY_TOL * max(1.0, alpha))
 
 
 def level_radius(model: inc.IncrementModel, alpha: float, direction) -> float:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import increments as inc
@@ -67,6 +66,9 @@ _FULL_M = 2048
 _ARC_M = 4096
 _ENERGY_M = 8192
 _LADDER = (1e-1, 1e-2, 1e-3)
+_FIXED_POINT_ROUNDS = 30
+_TIE_RTOL = 1e-9  # candidate energies this close are ordered by (angle, tau)
+_GRAPH_NODES = 64
 
 
 class _AllDirections:
@@ -320,11 +322,11 @@ def _solve_candidate(model, theta, tau, area, n, scan_step):
 
     The level equation is solved at a fixed direction; when the
     symmetric-chord directions drift with the level (they do not for
-    quadratic cumulants), the two solves alternate until both stabilize.
+    quadratic cumulants), the two solves alternate until both stabilize;
+    :class:`NoConvergenceError` after ``_FIXED_POINT_ROUNDS`` rounds.
     """
     target = 1.0 / (2.0 * math.sqrt(area))
-    alpha = None
-    for _ in range(30):
+    for _ in range(_FIXED_POINT_ROUNDS):
         ell = np.array([math.cos(theta), math.sin(theta)])
         arc_slope = _LevelSlope(model, lambda m: _arc_angles(ell, tau, m), _ARC_M)
         alpha, _cap = _solve_decreasing(arc_slope, target)
@@ -345,8 +347,27 @@ def _solve_candidate(model, theta, tau, area, n, scan_step):
             theta = new_theta
             break
         theta = new_theta
+    else:
+        raise NoConvergenceError(
+            f"direction/level fixed point unsettled after {_FIXED_POINT_ROUNDS} rounds"
+        )
     ell = np.array([math.cos(theta), math.sin(theta)])
     return _candidate(model, alpha, ell, tau, n)
+
+
+def _ordered(cands: list[Candidate]) -> list[Candidate]:
+    """Candidates by energy; those within ``_TIE_RTOL`` of the lowest energy
+    left are ordered by (angle of ell, tau).  The arcs (ell, tau) and
+    (-ell, -tau) are one arc traversed from opposite ends, so rounding alone
+    would otherwise decide which of them leads."""
+    rest = sorted(cands, key=lambda c: c.energy)
+    out: list[Candidate] = []
+    while rest:
+        lead = rest[0].energy
+        tied = [c for c in rest if c.energy <= lead + _TIE_RTOL * abs(lead)]
+        out += sorted(tied, key=lambda c: (math.atan2(c.ell[1], c.ell[0]), c.tau))
+        rest = rest[len(tied):]
+    return out
 
 
 def _solve_full_plane(model, area, directions, n) -> RateResult:
@@ -373,8 +394,7 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
                 "no admissible (level, direction, orientation) triple: "
                 "the target area is at or beyond the attainable range"
             )
-    cands.sort(key=lambda c: (c.energy, math.atan2(c.ell[1], c.ell[0]), c.tau))
-    return RateResult(float(area), cands, cands[0].energy, model)
+    return RateResult(float(area), _ordered(cands), min(c.energy for c in cands), model)
 
 
 def rate_of_area(
@@ -437,20 +457,18 @@ def _vertical_cumulant_funcs(model):
     return model.kind.mu1, model.kind.y_model
 
 
+# Gauss-Legendre nodes and weights on [-1, 1], _GRAPH_NODES on each side of 0:
+# the integrands below bend sharply at s = 0 when u is large.
+_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GRAPH_NODES)
+_GL_NODES = np.concatenate([0.5 * (_gl_x - 1.0), 0.5 * (_gl_x + 1.0)])
+_GL_WEIGHTS = 0.5 * np.concatenate([_gl_w, _gl_w])
+
+
 def _area_slope(y, u: float) -> float:
     """E'(u) for E(u) = integral of K_y(u s) over s in [-1, 1]."""
     if isinstance(y, inc.Gaussian1D):
         return (2.0 / 3.0) * y.var * u  # the mean term integrates out
-    val, _ = quad(
-        lambda s: s * float(inc.y_cumulant_d1(y, np.array([u * s]))[0]),
-        -1.0,
-        1.0,
-        epsabs=1e-14,
-        epsrel=1e-13,
-        limit=200,
-        points=[0.0],
-    )
-    return val
+    return float(_GL_WEIGHTS @ (_GL_NODES * inc.y_cumulant_d1(y, u * _GL_NODES)))
 
 
 def _graph_a_max(mu1: float, y) -> float:
@@ -466,7 +484,7 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     Solves |mu1| E'(u) = 4 * area for the unique positive u (E' is strictly
     increasing, so the decreasing -E' goes through the level-value solver),
     builds the curve pair from the vertical cumulant, and evaluates the
-    shared energy by exact quadrature of the conjugate identity
+    shared energy by Gauss-Legendre quadrature of the conjugate identity
     w K_y'(w) - K_y(w) over w in [-u, u].
     """
     if not (area > 0.0):
@@ -479,17 +497,8 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     if u is None:
         raise NoConvergenceError("dual-parameter solve found no bracket")
 
-    val, _err = quad(
-        lambda w: w * float(inc.y_cumulant_d1(y, np.array([w]))[0])
-        - float(inc.y_cumulant(y, np.array([w]))[0]),
-        -u,
-        u,
-        epsabs=1e-14,
-        epsrel=1e-13,
-        limit=200,
-        points=[0.0],
-    )
-    energy = val / (2.0 * u)
+    w = u * _GL_NODES
+    energy = 0.5 * float(_GL_WEIGHTS @ (w * inc.y_cumulant_d1(y, w) - inc.y_cumulant(y, w)))
 
     times = np.linspace(0.0, 1.0, n + 1)
     w = u * (2.0 * times - 1.0)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +31,17 @@ def specs(tmp_path):
     return paths
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(args):
+    # the child needs the checkout's src/ on its path when the package is not installed
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "ldp_hull.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "ldp_hull.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

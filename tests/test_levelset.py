@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -213,3 +214,52 @@ def test_sqrt_area_strictly_concave(iso, square_atoms):
         roots = np.array([math.sqrt(lh.sublevel_area(model, a)) for a in alphas])
         slopes = np.diff(roots) / np.diff(alphas)
         assert np.all(np.diff(slopes) < -1e-8)
+
+
+@st.composite
+def _full_plane_laws(draw):
+    """A Gaussian with drift, or atoms at one point per angular sector of width
+    2 pi/k with k >= 4, offset by less than half a sector: every gap between
+    neighbouring atoms stays below pi, so the origin is interior to their hull."""
+    if draw(st.booleans()):
+        phi = draw(st.floats(0.0, math.pi))
+        rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        cov = rot @ np.diag([draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))]) @ rot.T
+        rho, psi = draw(st.floats(0.2, 1.5)), draw(st.floats(0.0, 2 * math.pi))
+        return lh.gaussian([rho * math.cos(psi), rho * math.sin(psi)], cov)
+    k = draw(st.integers(4, 6))
+    angles = [2 * math.pi * i / k + draw(st.floats(0.0, 0.99 * math.pi / k)) for i in range(k)]
+    radii = [draw(st.floats(0.5, 2.5)) for _ in range(k)]
+    weights = np.array([draw(st.floats(0.1, 1.0)) for _ in range(k)])
+    points = [[r * math.cos(t), r * math.sin(t)] for r, t in zip(radii, angles)]
+    return lh.atoms(points, weights / weights.sum())
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(model=_full_plane_laws(), alpha=st.floats(0.05, 20.0), shift=st.integers(0, 24))
+def test_ray_radii_cold_and_warm(model, alpha, shift):
+    assert lh.support_class(model).tag == "full_plane"
+    thetas = np.linspace(0.0, 2 * math.pi, 24, endpoint=False) + 0.1
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    mu = lh.drift(model)
+    if np.any(mu):
+        dirs = np.vstack([dirs, -mu / np.linalg.norm(mu)])  # the anti-drift ray
+    tol = levelset._RAY_TOL * max(1.0, alpha)
+    cold = levelset._ray_radii(model, alpha, dirs)
+    assert np.all(np.abs(lh.cumulant(model, dirs * cold[:, None]) - alpha) <= tol)
+    factors = np.roll(np.geomspace(0.1, 10.0, len(dirs)), shift)
+    warm = levelset._ray_radii(model, alpha, dirs, r0=factors * cold)
+    assert np.all(np.abs(lh.cumulant(model, dirs * warm[:, None]) - alpha) <= tol)
+    np.testing.assert_allclose(warm, cold, rtol=1e-9)
+    # no float meets a zero tolerance on every ray: the solve must raise, not return
+    with patch.object(levelset, "_RAY_TOL", 0.0), pytest.raises(NoConvergenceError):
+        levelset._ray_radii(model, alpha, dirs)
+
+
+def test_ray_radius_against_the_drift(drift):
+    # K(-r, 0) = r^2/2 - r: the slope vanishes at r = 1, the cold start
+    for alpha in (0.1, 1.0, 10.0):
+        root = 1.0 + math.sqrt(1.0 + 2.0 * alpha)
+        for r0 in (None, np.full(1, 0.5 * root)):
+            r = levelset._ray_radii(drift, alpha, np.array([[-1.0, 0.0]]), r0=r0)
+            assert r[0] == pytest.approx(root, rel=1e-12)

@@ -4,11 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import ldp_hull as lh
+from ldp_hull import increments as inc
 from ldp_hull import solver
 from ldp_hull.errors import (
     NoCandidateError,
+    NoConvergenceError,
     NotFullPlaneError,
     NotSymmetricError,
     OutOfRangeError,
@@ -183,6 +186,22 @@ def test_graph_trajectory_endpoint_and_area(graph_pm1):
     assert sol.plus.energy == pytest.approx(sol.minus.energy, rel=1e-12)
 
 
+def test_graph_quadrature_matches_adaptive_reference(graph_pm1):
+    # E'(u) and the energy by the fixed Gauss-Legendre rule against adaptive quadrature
+    skewed = lh.graph1d(1.0, lh.atoms1d([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]))
+    for model, a in ((graph_pm1, 0.05), (graph_pm1, 0.2), (graph_pm1, 0.2499), (skewed, 0.3)):
+        y = model.kind.y_model
+        d1 = lambda w: float(inc.y_cumulant_d1(y, np.array([w]))[0])
+        k = lambda w: float(inc.y_cumulant(y, np.array([w]))[0])
+        sol = lh.graph_trajectory(model, a)
+        u = sol.u_star
+        opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200, points=[0.0])
+        slope, _ = quad(lambda s: s * d1(u * s), -1.0, 1.0, **opts)
+        assert solver._area_slope(y, u) == pytest.approx(slope, rel=1e-13)
+        val, _ = quad(lambda w: w * d1(w) - k(w), -u, u, **opts)
+        assert sol.rate == pytest.approx(val / (2.0 * u), rel=1e-13)
+
+
 def test_graph_trajectory_out_of_range(graph_pm1):
     with pytest.raises(OutOfRangeError) as exc:
         lh.graph_trajectory(graph_pm1, 0.25)
@@ -302,3 +321,30 @@ def test_repro_rates_reproduced(path):
         model, cfg["area"], eps=cfg["eps"], directions=cfg["directions"], samples=cfg["samples"]
     )
     assert res.rate == pytest.approx(payload["rate"], rel=1e-10, abs=0)
+
+
+def _stub_candidate(energy, theta, tau):
+    t = np.linspace(0.0, 1.0, 3)
+    traj = lh.Trajectory(t, np.zeros((3, 2)), np.zeros((3, 2)))
+    return solver.Candidate(1.0, np.array([math.cos(theta), math.sin(theta)]), tau, traj, energy, tau)
+
+
+def test_mirrored_candidates_lead_in_either_order():
+    # (ell, +1) and (-ell, -1) are one arc; energies 1e-13 apart are rounding
+    e = 0.4477172582287614
+    plus = _stub_candidate(e, 0.3, +1)
+    minus = _stub_candidate(e + 1e-13, 0.3 - math.pi, -1)
+    other = _stub_candidate(1.2 * e, 0.3 + math.pi / 2, +1)
+    for cands in ([plus, minus, other], [minus, plus, other], [other, minus, plus]):
+        assert [c.tau for c in solver._ordered(cands)] == [-1, +1, +1]
+        assert solver._ordered(cands)[2] is other
+
+
+def test_unsettled_direction_fixed_point_raises(drift, monkeypatch):
+    # a direction that moves by half a scan step every round never settles
+    gaps = np.array([-1.0, 1.0, 2.0])
+    monkeypatch.setattr(solver, "_solve_decreasing", lambda fn, target: (1.0, None))
+    monkeypatch.setattr(solver, "_radius_gap", lambda model, alpha, thetas, r0=None: (gaps, None))
+    monkeypatch.setattr(solver, "_direction_root", lambda m, a, lo, hi, g_lo, g_hi: 0.5 * (lo + hi))
+    with pytest.raises(NoConvergenceError):
+        solver._solve_candidate(drift, math.pi / 2, +1, 1.0, 64, math.pi / 256)
