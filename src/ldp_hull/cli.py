@@ -343,6 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.threads is not None and args.threads <= 0:
+            raise ValueError(f"--threads and LDP_HULL_THREADS must be positive, got {args.threads}")
         return args.fn(args)
     except DomainError as exc:
         sys.stderr.write(dumps({"error": exc.payload()}) + "\n")

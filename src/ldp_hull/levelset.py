@@ -6,29 +6,33 @@ is traced by shooting rays from the origin.  The line through the origin in
 direction ``ell`` cuts it into two arcs, selected by the orientation flag
 ``tau`` (+1 keeps the counterclockwise side ``u . perp(ell) >= 0``).
 
-Every level-set quantity comes from one quadrature, :func:`_quadrature`: ray
-solves at given angles, then the chord-closed shoelace area and the
-per-segment trapezoid increments of 1/|grad K| (the coarea mass) and of
-(u . grad K - alpha)/|grad K| (the energy) along the traced polygon.  The
-whole level set is the arc over [0, 2 pi], its last ray repeating the first.
-The public functions double a uniform angle grid until the quadrature settles
-to a relative tolerance (:func:`_refine`, which raises
-:class:`NoConvergenceError` at the grid cap); the solver instead takes a
-fixed pair of grids and one Richardson step (:func:`_extrapolated`).  Ray
-solves within one trace are independent scalar root finds evaluated as a
-vectorized batch; results are deterministic.
+Every level-set quantity is a polar integral in the ray angle theta.  With
+r(theta) the ray radius, d the direction and g = grad K(r d), the area is
+(1/2) int r^2 d theta and the coarea mass (the integral of 1/|grad K| in arc
+length, d area/d alpha) is int r/(d . g) d theta, as dr/d alpha = 1/(d . g).
+The integrands are smooth, so :func:`_quadrature` takes them on spectral
+rules: the periodic trapezoid rule on the whole level set, Gauss-Legendre on
+an arc.  Nodes are uniform in the whitened angle phi, d proportional to
+S (cos phi, sin phi) with S = Hess K(0)^{-1/2}, which spreads them evenly
+over an elongated level set.  The public functions double the node count
+until the values on n and 2n nodes agree to a relative tolerance and raise
+:class:`NoConvergenceError` past ``_N_CAP`` nodes.  Ray solves within one
+rule are one vectorized batch; results are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import increments as inc
 from .errors import NoConvergenceError, NotFullPlaneError
-from .polyline import PolygonalLine, _perp, _polygon_area
+from .polyline import PolygonalLine, _perp
 
 __all__ = [
     "LevelArc",
@@ -41,9 +45,11 @@ __all__ = [
     "arc_parametrization",
 ]
 
-_RAY_TOL = 1e-12
+_RAY_TOL = 1e-14
 _REFINE_RTOL = 1e-7
-_M_CAP = 2 ** 20
+_N0 = 32  # first node count of a settling sequence
+_N_CAP = 2 ** 13
+_INVERSE_TOL = 1e-12  # cumulative-mass residual of an inverted sample, relative to the mass
 
 
 @dataclass
@@ -136,107 +142,109 @@ def trace_level(model: inc.IncrementModel, alpha: float, m: int = 2048) -> Polyg
     return PolygonalLine(np.vstack([pts, pts[:1]]))
 
 
-def _ring_angles(m: int) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * np.pi, m + 1)
+def _whitened(S: np.ndarray, phi: np.ndarray):
+    """Unit ray directions S e(phi)/|S e(phi)| and d theta/d phi = det S/|S e(phi)|^2."""
+    v = _dirs_of(phi) @ S  # S is symmetric
+    vv = np.einsum("ij,ij->i", v, v)
+    return v / np.sqrt(vv)[:, None], np.linalg.det(S) / vv
 
 
-def _arc_angles(ell: np.ndarray, tau: int, m: int) -> np.ndarray:
-    theta0 = math.atan2(ell[1], ell[0])
-    return theta0 + tau * np.pi * np.linspace(0.0, 1.0, m + 1)
+def _whitener(model) -> np.ndarray:
+    """S = Hess K(0)^{-1/2}, which makes the quadratic part of K round."""
+    w, v = np.linalg.eigh(inc.cumulant_hessian(model, np.zeros(2)))
+    return (v / np.sqrt(w)) @ v.T
 
 
-def _quadrature(model, alpha, angles, r0=None):
-    """Trapezoid quadrature along the level set traced at ``angles``.
+def _ring_rule(model, n: int):
+    """Periodic trapezoid rule, n nodes on the whole level set: (directions, d theta weights)."""
+    dirs, jac = _whitened(_whitener(model), 2.0 * np.pi / n * np.arange(n))
+    return dirs, (2.0 * np.pi / n) * jac
 
-    Returns (area, mass, energy, radii): the shoelace area of the traced
-    points closed by the chord from last to first (for an arc, along
-    ``ell * R``), the per-segment increments of the arc-length integrals of
-    1/|grad K| and of (u . grad K(u) - alpha)/|grad K|, and the ray radii for
-    warm starts.  The solver divides the energy integral by the mass to get a
-    trajectory energy.
-    """
-    dirs = _dirs_of(angles)
+
+def _arc_dirs(model, ell: np.ndarray, tau: int, x: np.ndarray):
+    """Directions and d theta/dx at x in [-1, 1] on the arc from ``ell`` (x = -1)
+    to ``-ell`` (x = 1) on side ``tau``, uniform in the whitened angle."""
+    S = _whitener(model)
+    e0 = np.linalg.solve(S, ell)
+    dirs, jac = _whitened(S, math.atan2(e0[1], e0[0]) + tau * 0.5 * np.pi * (x + 1.0))
+    return dirs, 0.5 * np.pi * jac
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]: the nodes are the
+    eigenvalues of the tridiagonal Jacobi matrix, the weights
+    2/((1 - x^2) P_n'(x)^2) by the Legendre recurrence, both O(n^2) (numpy's
+    dense construction costs O(n^3) and loses 1e-9 in the weights by n = 1024)."""
+    k = np.arange(1, n)
+    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    p0, p1 = np.ones(n), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    w = 2.0 * (1.0 - x * x) / (n * (x * p1 - p0)) ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _arc_rule(model, ell: np.ndarray, tau: int, n: int):
+    """Gauss-Legendre rule, n nodes on one arc: (directions, d theta weights)."""
+    x, w = _gauss_legendre(n)
+    dirs, jac = _arc_dirs(model, ell, tau, x)
+    return dirs, w * jac
+
+
+def _mass_density(model, alpha, dirs, r0=None):
+    """Ray radii r and the coarea mass per unit angle r/(d . grad K(r d))."""
     r = _ray_radii(model, alpha, dirs, r0=r0)
-    pts = dirs * r[:, None]
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    grads = inc.cumulant_gradient(model, pts)
-    gn = np.linalg.norm(grads, axis=1)
-    f = 1.0 / gn
-    e = (np.einsum("ij,ij->i", pts, grads) - alpha) / gn
-    mass = 0.5 * (f[:-1] + f[1:]) * seg
-    energy = 0.5 * (e[:-1] + e[1:]) * seg
-    return abs(_polygon_area(pts)), mass, energy, r
+    g = inc.cumulant_gradient(model, dirs * r[:, None])
+    return r, r / np.einsum("ij,ij->i", dirs, g)
 
 
-def _extrapolated(model, alpha, grids, radii) -> np.ndarray:
-    """(area, mass, energy) from a coarse and a fine grid and one Richardson step.
-
-    ``grids`` holds the coarse angles and the fine ones at twice the count;
-    ``radii`` holds a warm start per grid (or None) and receives the new radii.
-    The step removes the second-order polygon-inscription bias.
-    """
-    vals = []
-    for i, angles in enumerate(grids):
-        area, mass, energy, radii[i] = _quadrature(model, alpha, angles, radii[i])
-        vals.append(np.array([area, np.sum(mass), np.sum(energy)]))
-    return (4.0 * vals[1] - vals[0]) / 3.0
+def _quadrature(model, alpha, rule, r0=None):
+    """(area, mass, radii) on one polar rule; the radii serve as warm starts."""
+    dirs, weights = rule
+    r, mass = _mass_density(model, alpha, dirs, r0)
+    return 0.5 * float(weights @ (r * r)), float(weights @ mass), r
 
 
-def _refine(model, alpha, angles_of, m0: int, rtol: float, settle):
-    """Angles and :func:`_quadrature` of the first grid, doubling from ``m0``
-    segments, on which ``settle(area, mass)`` has changed by at most ``rtol``
-    relative since the grid before.  Raises at ``_M_CAP`` segments."""
-    m, prev = m0, None
+def _settled(model, alpha, rule_of, rtol: float) -> tuple[float, float, int]:
+    """(area, mass, n) on ``rule_of(n)`` for the first n, doubling from ``_N0``,
+    at which area and mass agree with those on n/2 nodes to ``rtol`` relative."""
+    n, prev = _N0, None
     while True:
-        angles = angles_of(m)
-        quad = _quadrature(model, alpha, angles)
-        vals = settle(quad[0], float(np.sum(quad[1])))
-        if prev is not None and all(
-            abs(v - p) <= rtol * max(abs(p), 1e-300) for v, p in zip(vals, prev)
-        ):
-            return angles, quad
-        if m >= _M_CAP:
-            raise NoConvergenceError(
-                f"level-set quadrature did not settle to rtol={rtol:g} by {m} segments"
-            )
-        prev, m = vals, 2 * m
-
-
-def _area_mass(model, alpha, angles_of, m0: int, rtol: float) -> tuple[float, float]:
-    """Area and mass, refined until both settle."""
-    both = lambda area, mass: (area, mass)
-    _, (area, mass, _, _) = _refine(model, alpha, angles_of, m0, rtol, both)
-    return area, float(np.sum(mass))
+        vals = _quadrature(model, alpha, rule_of(n))[:2]
+        if prev is not None and np.allclose(vals, prev, rtol=rtol, atol=0.0):
+            return vals + (n,)
+        if 2 * n > _N_CAP:
+            raise NoConvergenceError(f"level-set quadrature unsettled at rtol={rtol:g}, {n} nodes")
+        prev, n = vals, 2 * n
 
 
 def sublevel_area(model: inc.IncrementModel, alpha: float, rtol: float = _REFINE_RTOL) -> float:
     """Area of the sub-level set {K <= alpha}."""
     _check_args(model, alpha, "sublevel_area")
-    return _area_mass(model, alpha, _ring_angles, 256, rtol)[0]
+    return _settled(model, alpha, lambda n: _ring_rule(model, n), rtol)[0]
+
+
+def _arc_area_mass(model, alpha, ell, tau, rtol, what) -> tuple[float, float]:
+    _check_args(model, alpha, what)
+    ell, tau = _unit(ell), _check_tau(tau)
+    return _settled(model, alpha, lambda n: _arc_rule(model, ell, tau, n), rtol)[:2]
 
 
 def half_area(model, alpha: float, ell, tau, rtol: float = _REFINE_RTOL) -> float:
     """Area of the part of {K <= alpha} on side ``tau`` of the line through ``ell``."""
-    _check_args(model, alpha, "half_area")
-    ell, tau = _unit(ell), _check_tau(tau)
-    return _area_mass(model, alpha, lambda m: _arc_angles(ell, tau, m), 512, rtol)[0]
+    return _arc_area_mass(model, alpha, ell, tau, rtol, "half_area")[0]
 
 
 def arc_mass(model, alpha: float, ell, tau, rtol: float = _REFINE_RTOL) -> float:
     """Integral of 1/|grad K| in arc length over the selected level-set arc."""
-    _check_args(model, alpha, "arc_mass")
-    ell, tau = _unit(ell), _check_tau(tau)
-    return _area_mass(model, alpha, lambda m: _arc_angles(ell, tau, m), 512, rtol)[1]
+    return _arc_area_mass(model, alpha, ell, tau, rtol, "arc_mass")[1]
 
 
-def half_area_derivative(model, alpha: float, ell, tau, rtol: float = _REFINE_RTOL) -> float:
-    """d(half_area)/d(alpha) via the coarea identity: equals the arc mass.
-
-    Using the identity instead of numerical differentiation removes a noise
-    source; central finite differences of :func:`half_area` recover it to
-    about 1e-3 relative.
-    """
-    return arc_mass(model, alpha, ell, tau, rtol)
+# d(half_area)/d(alpha) by the coarea identity is the arc mass itself, free of
+# the noise of finite differences (central ones recover it to about 1e-3)
+half_area_derivative = arc_mass
 
 
 def arc_parametrization(
@@ -249,32 +257,37 @@ def arc_parametrization(
 ) -> LevelArc:
     """Equal-mass arc parametrization with n + 1 samples.
 
-    The cumulative 1/|grad K| mass is accumulated along a fine trace and
-    inverted by its monotone piecewise-linear interpolant; each inverted angle
-    is then re-solved exactly on the level set, so K(g(t)) = alpha holds to
-    ray-solve accuracy at every sample.  Derivatives are the exact tangents
-    tau * mass * perp(grad K).
+    The mass per unit whitened angle is interpolated at Chebyshev points,
+    their count doubling until the cumulative-mass series moves by at most
+    ``rtol`` times the mass; that series is inverted at the equal-mass
+    targets by safeguarded Newton, and each inverted angle is re-solved
+    exactly on the level set, so K(g(t)) = alpha holds to ray-solve accuracy
+    at every sample.  Derivatives are the exact tangents tau mass perp(grad K).
     """
     _check_args(model, alpha, "arc_parametrization")
     ell, tau = _unit(ell), _check_tau(tau)
     if n < 2:
         raise ValueError("need at least 2 segments")
-
-    # double the grid until the mass alone settles
-    mass_only = lambda area, mass: (mass,)
-    angles_of = lambda m: _arc_angles(ell, tau, m)
-    angles, (_, incr, _, _) = _refine(model, alpha, angles_of, max(4096, 4 * n), rtol, mass_only)
-    m = len(incr)
-    mass = float(np.sum(incr))
-    cum = np.concatenate([[0.0], np.cumsum(incr)])
-    cum[-1] = mass  # guard cumsum roundoff at the far endpoint
-    targets = np.linspace(0.0, mass, n + 1)
-    j = np.clip(np.searchsorted(cum, targets[1:-1], side="right"), 1, m)
-    frac = (targets[1:-1] - cum[j - 1]) / (cum[j] - cum[j - 1])
-    inner = angles[j - 1] + frac * (angles[j] - angles[j - 1])
-    sample_angles = np.concatenate([[angles[0]], inner, [angles[-1]]])
-    sdirs = _dirs_of(sample_angles)
+    times = np.linspace(0.0, 1.0, n + 1)
+    cheb = np.polynomial.chebyshev
+    deg, prev = _N0, None
+    while True:
+        # interpolant at the deg Chebyshev points of the first kind, by a DCT
+        dirs, jac = _arc_dirs(model, ell, tau, np.cos(np.pi * (np.arange(deg) + 0.5) / deg))
+        coef = dct(jac * _mass_density(model, alpha, dirs)[1], type=2) / deg
+        coef[0] *= 0.5
+        cum = cheb.chebint(coef, lbnd=-1.0)
+        mass = float(cheb.chebval(1.0, cum))
+        if prev is not None and np.sum(np.abs(cheb.chebsub(cum, prev))) <= rtol * mass:
+            break
+        if 2 * deg > _N_CAP:
+            raise NoConvergenceError(f"arc mass interpolant unsettled at rtol={rtol:g}, {deg} nodes")
+        prev, deg = cum, 2 * deg
+    inner = inc._increasing_root(
+        lambda x: (cheb.chebval(x, cum) - mass * times[1:-1], cheb.chebval(x, coef)),
+        2.0 * times[1:-1] - 1.0, -1.0, 1.0, _INVERSE_TOL * mass,
+    )
+    sdirs = _arc_dirs(model, ell, tau, np.concatenate([[-1.0], inner, [1.0]]))[0]
     samples = sdirs * _ray_radii(model, alpha, sdirs)[:, None]
     derivs = tau * mass * _perp(inc.cumulant_gradient(model, samples))
-    times = np.linspace(0.0, 1.0, n + 1)
     return LevelArc(float(alpha), ell, tau, times, samples, derivs, mass)

@@ -46,6 +46,9 @@ class WalkSample:
 
 @dataclass
 class LdpEstimate:
+    """``prob`` underflows to 0.0 once n * rate passes about 745; ``log_prob``
+    (-inf without hits) does not."""
+
     rate: float | None
     stderr: float | None
     hits: int
@@ -53,6 +56,7 @@ class LdpEstimate:
     mode: str
     zero_hits: bool
     prob: float
+    log_prob: float
 
 
 def _generator(seed: int, index: int) -> np.random.Generator:
@@ -205,7 +209,7 @@ def estimate_ldp(
 
     hits = int(np.count_nonzero(log_w > -math.inf))
     if hits == 0:
-        return LdpEstimate(None, None, hits, samples, mode, True, 0.0)
+        return LdpEstimate(None, None, hits, samples, mode, True, 0.0, -math.inf)
     log_prob = _log_mean_exp(log_w, samples)
 
     edges = np.linspace(0, samples, batches + 1).astype(int)
@@ -215,4 +219,4 @@ def estimate_ldp(
         stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(batches))
     else:
         stderr = None
-    return LdpEstimate(-log_prob / n, stderr, hits, samples, mode, False, math.exp(log_prob))
+    return LdpEstimate(-log_prob / n, stderr, hits, samples, mode, False, math.exp(log_prob), log_prob)

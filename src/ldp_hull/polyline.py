@@ -106,8 +106,7 @@ def convex_hull_vertices(points) -> np.ndarray:
 
 def _polygon_area(vertices: np.ndarray) -> float:
     # Shoelace over the implicitly closed vertex cycle.  Summing the cross
-    # products pairwise keeps the rounding well below that of two dot
-    # products, which the level solves would see as slope noise.
+    # products pairwise keeps the rounding well below that of two dot products.
     return 0.5 * float(np.sum(_cross(vertices, np.roll(vertices, -1, axis=0))))
 
 

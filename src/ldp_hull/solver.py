@@ -9,8 +9,12 @@ traversed in either orientation.  Graph models (support on a vertical line)
 have an explicit two-curve solution driven by the vertical cumulant.
 
 Derivatives of sqrt(area) in the level value are always obtained through the
-coarea identity (arc-mass quadrature), never by finite differences.  All
-candidate evaluations are independent and deterministic.
+coarea identity (arc-mass quadrature), never by finite differences.  A level
+solve runs on one fixed polar rule (whitened nodes, see ``levelset``), then
+settles area and mass at the root by doubling the node count until n and n/2
+nodes agree, up to a cap, and solves again on more nodes when needed.  A
+candidate's energy is 2A/M - alpha from its arc's half area A and mass M.
+All candidate evaluations are independent and deterministic.
 """
 
 from __future__ import annotations
@@ -32,12 +36,16 @@ from .errors import (
 )
 from .legendre import Trajectory
 from .levelset import (
-    _arc_angles,
+    _N0,
+    _N_CAP,
+    _arc_rule,
     _check_args,
     _dirs_of,
-    _extrapolated,
+    _quadrature,
+    _RAY_TOL,
     _ray_radii,
-    _ring_angles,
+    _ring_rule,
+    _settled,
     _unit,
     arc_parametrization,
 )
@@ -58,13 +66,11 @@ __all__ = [
 ]
 
 _GROW = 16.0  # bracket expansion factor: a no-root exit costs about 12 evaluations
-_ROOT_RTOL = 1e-13  # the level slopes are accurate to about 1e-12 relative
+_ROOT_RTOL = 1e-13
+_SETTLE_RTOL = 1e-12
 _ANGLE_XTOL = 1e-15
 _ALPHA_HI_CAP = 1e12
 _ALPHA_LO_CAP = 1e-14
-_FULL_M = 2048
-_ARC_M = 4096
-_ENERGY_M = 8192
 _LADDER = (1e-1, 1e-2, 1e-3)
 _FIXED_POINT_ROUNDS = 30
 _TIE_RTOL = 1e-9  # candidate energies this close are ordered by (angle, tau)
@@ -134,22 +140,42 @@ class GraphSolution:
 # Monotone scalar solves in the level value
 
 class _LevelSlope:
-    """alpha -> d sqrt(area)/d alpha of the level set traced on ``angles_of(m)``.
+    """alpha -> d sqrt(area)/d alpha on one polar rule, fixed for a whole level
+    solve so that the slope is one function of alpha.  Ray radii are
+    warm-started across alpha values; ``last`` is the last level evaluated."""
 
-    ``angles_of`` gives the whole level set (``_ring_angles``) or one arc.
-    Fixed pair of angle grids (m and 2m) with warm-started radii across alpha
-    values; one Richardson step removes the second-order polygon bias, so the
-    level solve sees the slope at roughly quadrature-refined accuracy.
-    """
-
-    def __init__(self, model, angles_of, m):
-        self.model = model
-        self.grids = (angles_of(m), angles_of(2 * m))
-        self._radii = [None, None]
+    def __init__(self, model, rule):
+        self.model, self.rule, self.last, self._radii = model, rule, None, None
 
     def __call__(self, alpha: float) -> float:
-        area, mass, _ = _extrapolated(self.model, alpha, self.grids, self._radii)
+        area, mass, self._radii = _quadrature(self.model, alpha, self.rule, self._radii)
+        self.last = alpha
         return mass / (2.0 * math.sqrt(max(area, 1e-300)))
+
+
+def _settle_rtol(alpha: float) -> float:
+    """N-vs-2N gap of area and mass that counts as settled: ``_SETTLE_RTOL``,
+    or four times the relative ray-radius noise where that is larger."""
+    return max(_SETTLE_RTOL, 4.0 * _RAY_TOL * max(1.0, alpha) / alpha)
+
+
+def _solve_level(model, rule_of, target: float):
+    """:func:`_solve_decreasing` of the slope on ``rule_of(n)`` nodes, solved
+    again on more nodes until n reaches the count at which the area and mass
+    settle (:func:`levelset._settled` at :func:`_settle_rtol`) at the root,
+    or, without a root, at the smallest level tried: too few nodes
+    underestimate the slope of a short arc near the origin."""
+    n = _N0
+    while True:
+        slope = _LevelSlope(model, rule_of(n))
+        alpha, cap = _solve_decreasing(slope, target)
+        if cap is not None:
+            return alpha, cap
+        at = alpha if alpha is not None else slope.last
+        settled_n = _settled(model, at, rule_of, _settle_rtol(at))[2]
+        if settled_n <= n:
+            return alpha, cap
+        n = settled_n
 
 
 def _root(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> float:
@@ -205,13 +231,14 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
     if not inc.is_centrally_symmetric(model):
         raise NotSymmetricError("symmetric_level needs a centrally symmetric law")
     target = 1.0 / math.sqrt(2.0 * area)
-    alpha, cap_slope = _solve_decreasing(_LevelSlope(model, _ring_angles, _FULL_M), target)
+    alpha, cap_slope = _solve_level(model, lambda n: _ring_rule(model, n), target)
     if alpha is None:
         if cap_slope is None:
             raise NoConvergenceError("level solve found no root on the small-alpha side")
+        # the area reached at the cap level (A/M^2 of each half), on the finest rule
+        full, mass, _ = _quadrature(model, _ALPHA_HI_CAP, _ring_rule(model, _N_CAP))
         raise OutOfRangeError(
-            "target area at or beyond the attainable range",
-            a_max=1.0 / (2.0 * cap_slope ** 2),
+            "target area at or beyond the attainable range", a_max=2.0 * full / mass ** 2
         )
     return float(alpha)
 
@@ -293,9 +320,11 @@ def _build(model, alpha, ell, tau, n) -> tuple[Trajectory, float]:
     pts = -(1.0 / (arc.tau * arc.mass)) * _perp(arc.samples - arc.samples[0])
     pts[0] = 0.0
     derivs = inc.cumulant_gradient(model, arc.samples)
-    grids = [_arc_angles(arc.ell, arc.tau, m) for m in (_ENERGY_M, 2 * _ENERGY_M)]
-    _, lam_r, eint = _extrapolated(model, arc.alpha, grids, [None, None])
-    return Trajectory(arc.times, pts, derivs, energy=eint / lam_r), arc.mass
+    # the energy integral of (u . grad K - alpha)/|grad K| in arc length is
+    # 2 area - alpha mass (u . grad K/|grad K| is the support function)
+    rule_of = lambda m: _arc_rule(model, arc.ell, arc.tau, m)
+    area, mass, _ = _settled(model, alpha, rule_of, _settle_rtol(alpha))
+    return Trajectory(arc.times, pts, derivs, energy=2.0 * area / mass - alpha), arc.mass
 
 
 def build_trajectory(
@@ -306,7 +335,8 @@ def build_trajectory(
 
     h(0) = 0, h'(t) = grad K(g(t)) exactly (a quarter-turn of the arc
     tangent), and the hull area equals half_area/mass^2.  The stored energy is
-    the arc-length quadrature of the conjugate identity
+    2 half_area/mass - alpha, with both settled on doubling Gauss-Legendre
+    rules: the arc-length integral of the conjugate identity
     (u . grad K(u) - alpha) along the arc, divided by the mass.
     """
     return _build(model, alpha, _unit(ell), tau, n)[0]
@@ -328,8 +358,7 @@ def _solve_candidate(model, theta, tau, area, n, scan_step):
     target = 1.0 / (2.0 * math.sqrt(area))
     for _ in range(_FIXED_POINT_ROUNDS):
         ell = np.array([math.cos(theta), math.sin(theta)])
-        arc_slope = _LevelSlope(model, lambda m: _arc_angles(ell, tau, m), _ARC_M)
-        alpha, _cap = _solve_decreasing(arc_slope, target)
+        alpha, _cap = _solve_level(model, lambda n: _arc_rule(model, ell, tau, n), target)
         if alpha is None:
             return None
         gaps, _ = _radius_gap(model, alpha, np.array([theta - scan_step, theta, theta + scan_step]))
@@ -376,8 +405,8 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
         ell = np.array([1.0, 0.0])
         cands = [_candidate(model, alpha, ell, tau, n) for tau in (+1, -1)]
     else:
-        seed_alpha, cap = _solve_decreasing(
-            _LevelSlope(model, _ring_angles, _FULL_M), 1.0 / math.sqrt(2.0 * area)
+        seed_alpha, _cap = _solve_level(
+            model, lambda n: _ring_rule(model, n), 1.0 / math.sqrt(2.0 * area)
         )
         if seed_alpha is None:
             seed_alpha = 1.0

@@ -204,6 +204,7 @@ def test_criterion_08_oracle_agreement(iso, drift):
     report(8, all(checks), "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_09_monte_carlo(iso, graph_pm1):
     t0 = time.perf_counter()
     enum_ok = True

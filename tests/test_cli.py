@@ -166,6 +166,22 @@ def test_non_integer_env_threads_is_parse_error(specs, monkeypatch, capsys):
     assert "LDP_HULL_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0"), (None, "-1")])
+def test_non_positive_threads_rejected(specs, monkeypatch, capsys, flag, env):
+    if env is None:
+        monkeypatch.delenv("LDP_HULL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LDP_HULL_THREADS", env)
+    args = ["simulate", "--dist", specs["gauss_iso.json"], "--area", "0.1", "--steps", "8",
+            "--samples", "500", "--seed", "1"] + (["--threads", flag] if flag else [])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "LDP_HULL_THREADS" in err and "must be positive" in err
+    # the same rule holds for every subcommand
+    assert main(["rate", "--dist", specs["gauss_iso.json"], "--area", "1"]
+                + (["--threads", flag] if flag else [])) == 1
+
+
 def test_json_floats_round_trip(specs, tmp_path):
     out = tmp_path / "rate.json"
     main(["rate", "--dist", specs["gauss_iso.json"], "--area", "0.7", "--output", str(out)])

@@ -134,25 +134,27 @@ def test_gaussian_level_set_closed_forms(eigs, phi, mean, alpha, theta):
 def test_ring_slope_is_root_two_arc_slopes_on_square_law(square_atoms, alpha, theta, tau):
     # central symmetry: the ring has twice the area and twice the mass of each half
     ell = np.array([math.cos(theta), math.sin(theta)])
-    ring = solver._LevelSlope(square_atoms, levelset._ring_angles, solver._FULL_M)
-    arc = solver._LevelSlope(
-        square_atoms, lambda m: levelset._arc_angles(ell, tau, m), solver._ARC_M
-    )
+    ring = solver._LevelSlope(square_atoms, levelset._ring_rule(square_atoms, 256))
+    arc = solver._LevelSlope(square_atoms, levelset._arc_rule(square_atoms, ell, tau, 256))
     assert ring(alpha) == pytest.approx(math.sqrt(2) * arc(alpha), rel=1e-10)
 
 
-def test_refinement_cap_raises(iso, monkeypatch):
-    monkeypatch.setattr(levelset, "_M_CAP", 1024)
+def test_refinement_cap_raises(triangle_atoms, monkeypatch):
+    # an atom law's polar integrands are not trigonometric polynomials, so 64
+    # nodes cannot meet rtol = 1e-15; on a Gaussian the ring rule is exact at
+    # every even node count (the circle) or to rounding (a drifted law)
+    ref = lh.sublevel_area(triangle_atoms, 0.5)
+    monkeypatch.setattr(levelset, "_N_CAP", 64)
     with pytest.raises(NoConvergenceError):
-        lh.sublevel_area(iso, 0.5, rtol=1e-15)
+        lh.sublevel_area(triangle_atoms, 0.5, rtol=1e-15)
     with pytest.raises(NoConvergenceError):
-        lh.half_area(iso, 0.5, [1.0, 0.0], +1, rtol=1e-15)
+        lh.half_area(triangle_atoms, 0.5, [1.0, 0.0], +1, rtol=1e-15)
     with pytest.raises(NoConvergenceError):
-        lh.arc_mass(iso, 0.5, [1.0, 0.0], -1, rtol=1e-15)
+        lh.arc_mass(triangle_atoms, 0.5, [1.0, 0.0], -1, rtol=1e-15)
     with pytest.raises(NoConvergenceError):
-        lh.arc_parametrization(iso, 0.5, [1.0, 0.0], +1, n=64)
+        lh.arc_parametrization(triangle_atoms, 0.5, [1.0, 0.0], +1, n=64, rtol=1e-15)
     # below the cap the same calls settle
-    assert lh.sublevel_area(iso, 0.5, rtol=1e-4) == pytest.approx(math.pi, rel=1e-4)
+    assert lh.sublevel_area(triangle_atoms, 0.5, rtol=1e-4) == pytest.approx(ref, rel=1e-4)
 
 
 def test_arc_parametrization_circle(iso):

@@ -111,6 +111,10 @@ def test_deep_tail_estimate_keeps_its_hits(iso):
     assert est.hits > 0 and not est.zero_hits
     assert est.stderr is not None
     assert est.rate == pytest.approx(math.pi, rel=0.1)
+    # the probability itself underflows; its logarithm carries it
+    assert est.prob == 0.0
+    assert math.isfinite(est.log_prob)
+    assert est.log_prob == pytest.approx(-300 * est.rate, rel=1e-15)
 
 
 def test_zero_hits_reported_not_fatal(graph_pm1):
@@ -118,6 +122,7 @@ def test_zero_hits_reported_not_fatal(graph_pm1):
     est = lh.estimate_ldp(graph_pm1, 0.3, 10, 500, mode="naive", seed=1, threads=1)
     assert est.zero_hits and est.hits == 0
     assert est.rate is None and est.stderr is None
+    assert est.prob == 0.0 and est.log_prob == -math.inf
 
 
 def test_tilted_mode_requires_solvable_area(graph_pm1):

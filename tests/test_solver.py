@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import ldp_hull as lh
 from ldp_hull import increments as inc
@@ -234,6 +235,39 @@ def test_rate_of_area_proper_subset_paths(two_atoms):
     assert res.rate > 0 and res.ladder is None
 
 
+def line_law_rate(eps: float, a: float) -> float:
+    """J at area a for the atoms (+-1, 0) regularized by eps, K(u) = log cosh u1
+    + eps |u|^2/2, from the Cartesian level curve u2^2 = q(u1), |u1| <= b.
+
+    With u1 = b (1 - s^2) the ring area 4 int sqrt(q) du1 and coarea mass
+    (4/eps) int du1/sqrt(q) have smooth integrands in s; the level solves
+    2 area/mass^2 = a (each half arc has half of both), and J = 2 area/mass - alpha.
+    """
+    log_cosh = lambda u: u - math.log(2.0) + math.log1p(math.exp(-2.0 * u))
+
+    def ring(alpha):
+        b = brentq(lambda u: alpha - log_cosh(u) - 0.5 * eps * u * u, 0.0, alpha + 1.0,
+                   xtol=1e-300, rtol=1e-15)
+
+        def q_over_s2(s):
+            u = b * (1.0 - s * s)
+            d = math.log1p(math.exp(-2.0 * b)) - math.log1p(math.exp(-2.0 * u))
+            return (2.0 / eps) * (b + d / (s * s)) + b * b * (2.0 - s * s)
+
+        opts = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+        area = 8.0 * b * quad(lambda s: s * s * math.sqrt(q_over_s2(s)), 0.0, 1.0, **opts)[0]
+        mass = 8.0 * b / eps * quad(lambda s: 1.0 / math.sqrt(q_over_s2(s)), 0.0, 1.0, **opts)[0]
+        return area, mass
+
+    def gap(alpha):
+        area, mass = ring(alpha)
+        return math.log(2.0 * area / mass ** 2 / a)
+
+    alpha = brentq(gap, 1e-3, 1e3, xtol=1e-300, rtol=1e-15)
+    area, mass = ring(alpha)
+    return 2.0 * area / mass - alpha
+
+
 def test_rate_of_area_symmetric_ladder():
     # symmetric line-supported atoms: the built-in regularization ladder runs
     model = lh.atoms([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
@@ -243,6 +277,59 @@ def test_rate_of_area_symmetric_ladder():
     assert [e for e, _ in res.ladder] == [1e-1, 1e-2, 1e-3]
     assert res.eps_applied == 1e-3
     assert res.rate == res.ladder[-1][1]
+    # every rung against a level solved apart, the elongated eps = 1e-3 one included
+    for eps, rate in res.ladder:
+        assert rate == pytest.approx(line_law_rate(eps, 0.05), rel=1e-10), eps
+
+
+def polar_area_mass(model, alpha, ell, tau):
+    """Half area and arc mass of one level-set arc by adaptive quadrature of
+    the polar integrands r^2/2 and r/(d . grad K) in the ray angle, each ray
+    radius solved by brentq."""
+
+    def radius(theta):
+        d = np.array([math.cos(theta), math.sin(theta)])
+        hi = 1.0
+        while lh.cumulant(model, hi * d) < alpha:
+            hi *= 2.0
+        r = brentq(lambda r: lh.cumulant(model, r * d) - alpha, 0.0, hi, xtol=1e-16, rtol=1e-15)
+        return r, d
+
+    def mass_density(theta):
+        r, d = radius(theta)
+        return r / float(d @ lh.cumulant_gradient(model, r * d))
+
+    theta0 = math.atan2(ell[1], ell[0])
+    lo, hi = sorted((theta0, theta0 + tau * math.pi))
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    area = quad(lambda t: 0.5 * radius(t)[0] ** 2, lo, hi, **opts)[0]
+    return area, quad(mass_density, lo, hi, **opts)[0]
+
+
+_LINE = lh.atoms([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
+_SQUARE = lh.atoms([[2.0, 2.0], [-2.0, 2.0], [2.0, -2.0], [-2.0, -2.0]], [0.25] * 4)
+AREA_CASES = {
+    "iso": (lh.gaussian([0.0, 0.0], np.eye(2)), 1.0, None),
+    "drift": (lh.gaussian([1.0, 0.0], np.eye(2)), 1.0, None),
+    "correlated-drift": (lh.gaussian([0.3, 0.0], [[1.0, 0.2], [0.2, 1.0]]), 0.2, None),
+    "triangle": (lh.atoms([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [1 / 3] * 3), 0.2, None),
+    "square-eps1e-2": (_SQUARE, 0.2, 1e-2),
+    "line-eps1e-1": (_LINE, 0.05, 1e-1),
+    "line-eps1e-2": (_LINE, 0.05, 1e-2),
+    "line-eps1e-3": (_LINE, 0.05, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AREA_CASES))
+def test_candidates_meet_the_area_and_energy_identities(name):
+    # each candidate arc has A/M^2 = a (its trajectory's hull area) and energy
+    # 2A/M - alpha, with A and M from a quadrature written here
+    model, a, eps = AREA_CASES[name]
+    res = lh.rate_of_area(model, a, eps=eps)
+    for c in res.candidates:
+        area, mass = polar_area_mass(res.model, c.alpha, c.ell, c.tau)
+        assert area / mass ** 2 == pytest.approx(a, rel=1e-10)
+        assert c.energy == pytest.approx(2.0 * area / mass - c.alpha, rel=1e-10)
 
 
 def test_rate_of_area_no_candidate(triangle_atoms):
