@@ -9,10 +9,17 @@ centrally symmetric laws) the single-mode tilt misses the probability mass
 near the other optimizers, biasing the estimated rate upward by roughly
 log(mode count)/n; this vanishes in the limit but is visible at moderate n.
 
-Randomness is counter-based: sample j of a run draws from a Philox stream
-keyed by (seed, j), and step i consumes the i-th draw of that stream, so
-results are reproducible and independent of the order walks run in.  Estimator
-reductions use exactly-rounded summation, hence are order-insensitive.
+Randomness is counter-based: sample j of a run draws from the Philox stream
+keyed by (seed mod 2^64, j mod 2^64), and step i consumes the i-th draw of
+that stream, so results are reproducible and independent of the order walks
+run in.  Walks run in blocks of about 2048 points: each walk writes its raw
+draws into a block row (one bit generator, re-keyed per walk), and one
+transform and one cumulative sum serve the block.  Support polygons in 32
+fixed directions bracket each hull area, widened by a rounding margin
+(``polyline._hull_area_bounds``); only walks whose bracket straddles the
+threshold get an exact hull, so the hit set, the weights and every output are
+those of a walk-by-walk loop.  Estimator reductions use exactly-rounded
+summation, hence are order-insensitive.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from . import increments as inc
 from . import legendre
 from . import solver
-from .polyline import _polygon_area, convex_hull_vertices
+from .polyline import _hull_area_bounds, _polygon_area, convex_hull_vertices
 
 __all__ = ["WalkSample", "LdpEstimate", "simulate_walk", "hull_area_points", "estimate_ldp"]
 
@@ -59,8 +66,7 @@ class LdpEstimate:
     log_prob: float
 
 
-def _generator(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed % 2 ** 64, index % 2 ** 64]))
+_BLOCK_POINTS = 2048  # walk points per block: bounds the block arrays, whatever n is
 
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:
@@ -69,20 +75,25 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
-def _categorical(gen, cum_probs: np.ndarray, n: int) -> np.ndarray:
-    # cum_probs: (n, k) per-step cumulative masses; one uniform per step
-    v = gen.random(n)
-    return np.sum(cum_probs < v[:, None], axis=1)
+def _atom_draw(points: np.ndarray, logits: np.ndarray):
+    """Map from uniforms V (B, n) to atoms, step i drawn with the masses
+    softmax(logits[i]); the atom index is an exact count of cumulative masses
+    below V."""
+    _, probs = inc._logsumexp(logits)
+    cum = np.cumsum(probs, axis=1)
+    return lambda V: points[np.sum(cum < V[..., None], axis=-1)]
 
 
 def _increment_sampler(model: inc.IncrementModel, tilts: np.ndarray):
-    """Draw function gen -> (n, 2) increments, one tilted law per row of ``tilts``.
+    """``(draws, transform)``: the ``Generator`` method and shape of each raw
+    draw of one walk, in stream order (base law, then regularizing normals),
+    and the map from the raw arrays of B walks to (B, n, 2) increments, one
+    tilted law per row of ``tilts``.
 
     Zero rows give the base law.  Tilting is exact per kind: atom masses are
     reweighted by exp(u . x - K(u)); Gaussian parts shift their mean by
-    cov @ u.  What depends only on the tilts is computed once, here.  The
-    draw pattern does not depend on the tilt values, so zero tilts reproduce
-    the naive sampler stream for stream.
+    cov @ u.  The draws do not depend on the tilt values, so zero tilts
+    reproduce the naive sampler stream for stream.
     """
     n = len(tilts)
     kind = model.kind
@@ -91,26 +102,69 @@ def _increment_sampler(model: inc.IncrementModel, tilts: np.ndarray):
         cov = kind.cov + eps * np.eye(2)
         mean = kind.mean + tilts @ cov
         factor = _cov_factor(cov).T
-        return lambda gen: mean + gen.standard_normal((n, 2)) @ factor
+        # a stacked matmul multiplies walk by walk, as one walk's draw did
+        return [("standard_normal", (n, 2))], lambda Z: mean + Z @ factor
     if isinstance(kind, inc.Atoms):
-        _, probs = inc._logsumexp(np.log(kind.probs) + tilts @ kind.points.T)
-        cum = np.cumsum(probs, axis=1)
-        base = lambda gen: kind.points[_categorical(gen, cum, n)]
+        draws = [("random", (n,))]
+        base = _atom_draw(kind.points, np.log(kind.probs) + tilts @ kind.points.T)
     else:
         y = kind.y_model
         w = tilts[:, 1]
         if isinstance(y, inc.Gaussian1D):
+            draws = [("standard_normal", (n,))]
             y_mean, y_sd = y.mean + y.var * w, math.sqrt(y.var)
-            draw_y = lambda gen: y_mean + y_sd * gen.standard_normal(n)
+            draw_y = lambda Z: y_mean + y_sd * Z
         else:
-            _, probs = inc._logsumexp(np.log(y.probs) + np.multiply.outer(w, y.points))
-            cum = np.cumsum(probs, axis=1)
-            draw_y = lambda gen: y.points[_categorical(gen, cum, n)]
-        base = lambda gen: np.column_stack([np.full(n, kind.mu1), draw_y(gen)])
+            draws = [("random", (n,))]
+            draw_y = _atom_draw(y.points, np.log(y.probs) + np.multiply.outer(w, y.points))
+
+        def base(raw):
+            X = np.empty(raw.shape + (2,))
+            X[..., 0] = kind.mu1
+            X[..., 1] = draw_y(raw)
+            return X
+
     if not eps:
-        return base
+        return draws, base
     shift, sd = eps * tilts, math.sqrt(eps)
-    return lambda gen: base(gen) + shift + sd * gen.standard_normal((n, 2))
+    return draws + [("standard_normal", (n, 2))], lambda raw, E: base(raw) + shift + sd * E
+
+
+class _Streams:
+    """One Philox bit generator and its ``gen``, re-keyed per walk.  The key
+    is a uint64 array: a list with an entry >= 2^63 would round via float64."""
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=np.array([seed % 2 ** 64, 0], dtype=np.uint64))
+        self.gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state  # counter zero, buffer empty, no half-word
+
+    def rekey(self, index: int) -> None:
+        """Put ``gen`` at the start of the stream keyed by (seed, index)."""
+        self._state["state"]["key"][1] = index % 2 ** 64
+        self._bitgen.state = self._state
+
+
+def _walk_blocks(model: inc.IncrementModel, tilts: np.ndarray, seed: int, samples: int):
+    """Blocks (start, X, P) of walks start, start+1, ...: increments X (B, n, 2)
+    and partial sums P (B, n+1, 2) from the origin.  Walk j draws from the
+    start of the stream keyed by (seed, j), whatever walks came before."""
+    n = len(tilts)
+    draws, transform = _increment_sampler(model, tilts)
+    streams = _Streams(seed)
+    fills = [getattr(streams.gen, method) for method, _ in draws]
+    size = max(1, _BLOCK_POINTS // (n + 1))
+    raw = [np.empty((size,) + shape) for _, shape in draws]
+    for start in range(0, samples, size):
+        count = min(size, samples - start)
+        for b in range(count):
+            streams.rekey(start + b)
+            for fill, out in zip(fills, raw):
+                fill(out=out[b])
+        X = transform(*(r[:count] for r in raw))
+        P = np.zeros((count, n + 1, 2))
+        np.cumsum(X, axis=1, out=P[:, 1:])
+        yield start, X, P
 
 
 def hull_area_points(points) -> float:
@@ -124,7 +178,8 @@ def hull_area_points(points) -> float:
 def simulate_walk(
     model: inc.IncrementModel, n: int, seed: int = 0, tilts: np.ndarray | None = None
 ) -> WalkSample:
-    """One walk of n steps, deterministic given the seed.
+    """One walk of n steps, deterministic given the seed: walk 0 of an
+    :func:`estimate_ldp` run with the same seed and tilts.
 
     With per-step ``tilts`` (an (n, 2) array), increments are drawn from the
     exponentially tilted laws and ``log_weight`` carries the change-of-measure
@@ -132,16 +187,12 @@ def simulate_walk(
     """
     if n == 0:
         return WalkSample(0, np.zeros((1, 2)), 0.0, 0.0)
-    gen = _generator(seed, 0)
-    if tilts is None:
-        X = _increment_sampler(model, np.zeros((n, 2)))(gen)
-        log_w = 0.0
-    else:
-        tilts = np.asarray(tilts, float).reshape(n, 2)
-        X = _increment_sampler(model, tilts)(gen)
-        log_w = math.fsum(inc.cumulant(model, tilts)) - float(np.einsum("ij,ij->", tilts, X))
-    pts = np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
-    return WalkSample(n, pts, hull_area_points(pts), log_w)
+    u = np.zeros((n, 2)) if tilts is None else np.asarray(tilts, float).reshape(n, 2)
+    _, X, P = next(_walk_blocks(model, u, seed, 1))
+    log_w = 0.0
+    if tilts is not None:
+        log_w = math.fsum(inc.cumulant(model, u)) - float(np.einsum("ij,ij->", u, X[0]))
+    return WalkSample(n, P[0], hull_area_points(P[0]), log_w)
 
 
 def _optimal_tilts(model: inc.IncrementModel, area: float, n: int) -> np.ndarray:
@@ -168,6 +219,21 @@ def _log_mean_exp(log_w: np.ndarray, count: int) -> float:
     return top + math.log(math.fsum(np.exp(log_w - top)) / count)
 
 
+def _hit_log_weights(
+    model: inc.IncrementModel, tilts: np.ndarray, threshold: float, seed: int, samples: int
+) -> np.ndarray:
+    """Log weight sum of (K(u_i) - u_i . X_i) of each walk whose hull area
+    reaches ``threshold``, -inf for the others; reduced walk by walk."""
+    log_norm = math.fsum(inc.cumulant(model, tilts))  # sum of K(u_i)
+    log_w = np.full(samples, -math.inf)
+    for start, X, P in _walk_blocks(model, tilts, seed, samples):
+        lower, upper = _hull_area_bounds(P)
+        for b in np.flatnonzero(~(upper < threshold)):  # NaN areas go to the exact hull
+            if lower[b] >= threshold or hull_area_points(P[b]) >= threshold:
+                log_w[start + b] = log_norm - float(np.einsum("ij,ij->", tilts, X[b]))
+    return log_w
+
+
 def estimate_ldp(
     model: inc.IncrementModel,
     area: float,
@@ -184,10 +250,10 @@ def estimate_ldp(
     instead of failing.  Tilted mode draws every step from the exponentially
     tilted law along the optimal trajectory and averages indicator * weight,
     in the log domain, so ``zero_hits`` means no walk reached the threshold.
-    The standard error comes from batch means over ``batches`` blocks (None
-    when a block has no hit).  Walks run serially: the per-walk work holds
-    the interpreter lock, so a thread pool never ran faster; ``threads`` is
-    accepted and ignored.
+    The standard error comes from batch means over ``batches`` batches (None
+    when a batch has no hit).  Walks run serially, in blocks of about 2048
+    points whose hull areas are mostly decided by bounds, with the outputs of
+    a walk-by-walk run; ``threads`` is accepted and ignored.
     """
     if mode not in ("naive", "tilted"):
         raise ValueError("mode must be 'naive' or 'tilted'")
@@ -196,17 +262,7 @@ def estimate_ldp(
     tilts = (
         _optimal_tilts(model, area, n) if mode == "tilted" else np.zeros((n, 2))
     )
-    log_norm = math.fsum(inc.cumulant(model, tilts))  # sum of K(u_i)
-    threshold = area * n * n
-    draw = _increment_sampler(model, tilts)
-    log_w = np.full(samples, -math.inf)  # log weight of each hit; -inf for a miss
-
-    for j in range(samples):
-        X = draw(_generator(seed, j))
-        pts = np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
-        if hull_area_points(pts) >= threshold:
-            log_w[j] = log_norm - float(np.einsum("ij,ij->", tilts, X))
-
+    log_w = _hit_log_weights(model, tilts, area * n * n, seed, samples)
     hits = int(np.count_nonzero(log_w > -math.inf))
     if hits == 0:
         return LdpEstimate(None, None, hits, samples, mode, True, 0.0, -math.inf)

@@ -110,6 +110,49 @@ def _polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(_cross(vertices, np.roll(vertices, -1, axis=0))))
 
 
+# Support directions of the hull-area bounds, at angles 2 pi k / K, and the
+# coefficients that give the corner where support lines k and k + 1 meet:
+# h_k * _CORNER_A[k] + h_{k+1} * _CORNER_B[k].
+_SUPPORT_K = 32
+_SUPPORT_ANGLES = _TWO_PI * np.arange(_SUPPORT_K) / _SUPPORT_K
+_SUPPORT_DIRS = np.column_stack([np.cos(_SUPPORT_ANGLES), np.sin(_SUPPORT_ANGLES)])
+_CORNER_A = -_perp(np.roll(_SUPPORT_DIRS, -1, axis=0)) / np.sin(_TWO_PI / _SUPPORT_K)
+_CORNER_B = _perp(_SUPPORT_DIRS) / np.sin(_TWO_PI / _SUPPORT_K)
+
+
+def _hull_area_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lower <= hull_area(points[b]) <= upper`` on a (B, m, 2) stack.
+
+    They hold for the floating-point value that :func:`hull_area` returns,
+    not only for the exact area.  The points extreme in K fixed directions,
+    taken in direction order, span a polygon inside the hull (the lower
+    bound); the K support lines cut out a polygon around it (the upper bound).
+    """
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[1]
+    dots = _SUPPORT_DIRS @ pts.transpose(0, 2, 1)  # (B, K, m): argmax over contiguous rows
+    top = np.argmax(dots, axis=2)[..., None]
+    h = np.take_along_axis(dots, top, axis=2)[..., 0]
+    inner = np.take_along_axis(pts, top, axis=1)
+    outer = h[..., None] * _CORNER_A + np.roll(h, -1, axis=1)[..., None] * _CORNER_B
+    lower = 0.5 * np.sum(_cross(inner, np.roll(inner, -1, axis=1)), axis=1)
+    upper = 0.5 * np.sum(_cross(outer, np.roll(outer, -1, axis=1)), axis=1)
+    # Rounding margin, with u = 2^-53 and R the largest |p|.  Every polygon
+    # here lies in the disk of radius R (the outer one in its circumscribed
+    # K-gon), and sum |cross(v_i, v_i+1)| <= 4 pi R^2 on a convex polygon, so
+    # a shoelace over m vertices rounds by at most ~17 m u R^2 (4 u R^2 per
+    # cross product, (m - 1) u of the absolute sum).  hull_area's monotone
+    # chain may misjudge an orientation only on a triangle of area
+    # <= 16 u R^2 (differences up to 2R), at most 2 m times: with its
+    # shoelace, at most ~41 m u R^2.  The support values round by <= 3 u R.
+    # A near-tie argmax keeps the inner polygon inside the hull unless it
+    # reverses two points, which must then lie within ~31 u R of each other
+    # (6 u R / sin(2 pi / K)); a support line moves by 3 u R.  So each bound
+    # is off by at most ~60 K u R^2, and the margin is 64 (m + K) u R^2.
+    slack = 64 * (m + _SUPPORT_K) * 2.0 ** -53 * np.max(np.sum(pts * pts, axis=2), axis=1)
+    return lower - slack, upper + slack
+
+
 def hull_area(line) -> float:
     """Area of the convex hull of a polygonal line's vertices (0 if collinear)."""
     pts = line.vertices if isinstance(line, PolygonalLine) else np.asarray(line, float)

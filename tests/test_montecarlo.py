@@ -1,15 +1,82 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import ldp_hull as lh
+from ldp_hull import increments as inc
 from ldp_hull import montecarlo as mc
 from ldp_hull.errors import OutOfRangeError
 
 from conftest import brute_force_hull_area
+
+
+# Reference engine: one fresh Philox generator, one sampler call and one exact
+# hull per walk.  The blocked engine must reproduce it bit for bit.
+
+def reference_generator(seed: int, index: int) -> np.random.Generator:
+    # the list key is exact while both entries are below 2^63
+    return np.random.Generator(np.random.Philox(key=[seed % 2 ** 64, index % 2 ** 64]))
+
+
+def keyed_generator(seed: int, index: int) -> np.random.Generator:
+    key = np.array([seed % 2 ** 64, index % 2 ** 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def reference_categorical(gen, cum_probs, n):
+    v = gen.random(n)
+    return np.sum(cum_probs < v[:, None], axis=1)
+
+
+def reference_sampler(model, tilts):
+    """Draw function gen -> (n, 2) increments of one walk."""
+    n = len(tilts)
+    kind, eps = model.kind, model.epsilon
+    if isinstance(kind, inc.Gaussian):
+        cov = kind.cov + eps * np.eye(2)
+        mean = kind.mean + tilts @ cov
+        factor = mc._cov_factor(cov).T
+        return lambda gen: mean + gen.standard_normal((n, 2)) @ factor
+    if isinstance(kind, inc.Atoms):
+        _, probs = inc._logsumexp(np.log(kind.probs) + tilts @ kind.points.T)
+        cum = np.cumsum(probs, axis=1)
+        base = lambda gen: kind.points[reference_categorical(gen, cum, n)]
+    else:
+        y, w = kind.y_model, tilts[:, 1]
+        if isinstance(y, inc.Gaussian1D):
+            y_mean, y_sd = y.mean + y.var * w, math.sqrt(y.var)
+            draw_y = lambda gen: y_mean + y_sd * gen.standard_normal(n)
+        else:
+            _, probs = inc._logsumexp(np.log(y.probs) + np.multiply.outer(w, y.points))
+            cum = np.cumsum(probs, axis=1)
+            draw_y = lambda gen: y.points[reference_categorical(gen, cum, n)]
+        base = lambda gen: np.column_stack([np.full(n, kind.mu1), draw_y(gen)])
+    if not eps:
+        return base
+    shift, sd = eps * tilts, math.sqrt(eps)
+    return lambda gen: base(gen) + shift + sd * gen.standard_normal((n, 2))
+
+
+def reference_walks(model, tilts, seed, samples):
+    draw = reference_sampler(model, tilts)
+    for j in range(samples):
+        X = draw(reference_generator(seed, j))
+        yield X, np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
+
+
+def reference_log_weights(model, tilts, threshold, seed, samples):
+    log_norm = math.fsum(lh.cumulant(model, tilts))
+    log_w = np.full(samples, -math.inf)
+    for j, (X, pts) in enumerate(reference_walks(model, tilts, seed, samples)):
+        if mc.hull_area_points(pts) >= threshold:
+            log_w[j] = log_norm - float(np.einsum("ij,ij->", tilts, X))
+    return log_w
 
 
 def exact_tail_probability(n: int, threshold: float) -> float:
@@ -77,21 +144,120 @@ def test_estimate_determinism_and_thread_invariance(iso):
 
 def test_zero_tilt_reduces_to_naive(iso):
     # the naive mode is literally the tilted machinery with zero tilts; check
-    # that a hand-built zero-tilt run reproduces it stream for stream
+    # that a hand-built zero-tilt run of the per-walk reference reproduces it
+    # stream for stream
     n, samples, seed = 10, 1500, 9
     naive = lh.estimate_ldp(iso, 0.08, n, samples, mode="naive", seed=seed, threads=1)
-    draw = mc._increment_sampler(iso, np.zeros((n, 2)))
     hits = 0
     contrib = np.zeros(samples)
-    for j in range(samples):
-        gen = mc._generator(seed, j)
-        X = draw(gen)
-        pts = np.vstack([np.zeros(2), np.cumsum(X, axis=0)])
+    for j, (_, pts) in enumerate(reference_walks(iso, np.zeros((n, 2)), seed, samples)):
         if mc.hull_area_points(pts) >= 0.08 * n * n:
             hits += 1
             contrib[j] = 1.0
     assert hits == naive.hits
     assert -math.log(contrib.mean()) / n == pytest.approx(naive.rate, abs=1e-14)
+
+
+# name -> (model, steps, area of the tilted runs, largest drawn naive area)
+IDENTITY_LAWS = {
+    # small area: coordinates of order n next to hull areas of order a n^2
+    "drifted-gaussian": (lh.gaussian([1.0, 0.0], np.eye(2)), 30, 0.02, 0.1),
+    "triangle-eps": (lh.atoms([[1, 1], [1, -1], [-1, 0]], [1 / 3] * 3, eps=0.05), 12, 0.1, 0.1),
+    # lattice walks: hull areas are half-integers, and support values tie
+    "graph-pm1": (lh.graph1d(1.0, lh.atoms1d([1.0, -1.0], [0.5, 0.5])), 8, 0.2, 0.25),
+    "graph-gaussian": (lh.graph1d(1.0, lh.gaussian1d(0.0, 1.0)), 10, 0.3, 0.25),
+}
+
+
+@functools.cache
+def identity_tilts(name: str) -> np.ndarray:
+    model, n, area, _ = IDENTITY_LAWS[name]
+    return mc._optimal_tilts(model, area, n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(IDENTITY_LAWS)),
+    tilted=st.booleans(),
+    fraction=st.floats(0.0, 1.0),
+    blocks=st.sampled_from(["below", "one", "ragged"]),
+    seed=st.integers(0, 2 ** 63 - 1),
+)
+def test_blocked_hit_set_matches_per_walk_reference(name, tilted, fraction, blocks, seed):
+    model, n, area, naive_max = IDENTITY_LAWS[name]
+    block = max(1, mc._BLOCK_POINTS // (n + 1))
+    samples = {"below": block // 2, "one": block, "ragged": 2 * block + block // 3 + 1}[blocks]
+    if tilted:
+        tilts, threshold = identity_tilts(name), area * n * n
+    else:
+        tilts, threshold = np.zeros((n, 2)), fraction * naive_max * n * n
+        if name == "graph-pm1":
+            threshold = math.floor(2.0 * threshold) / 2.0  # exactly attainable areas
+    ref = reference_log_weights(model, tilts, threshold, seed, samples)
+    got = mc._hit_log_weights(model, tilts, threshold, seed, samples)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 40 + 3, -7])
+@pytest.mark.parametrize("index", [0, 2 ** 63, 2 ** 64 - 1])
+def test_rekeyed_generator_reproduces_fresh_streams(seed, index):
+    streams = mc._Streams(seed)
+    # a previous walk left a buffered half-word (and a part-used buffer)
+    streams.rekey(index ^ 1)
+    streams.gen.integers(2 ** 32, dtype=np.uint32)
+    draws = [
+        lambda g: g.standard_normal((5, 2)),
+        lambda g: g.random(7),
+        lambda g: np.concatenate([g.random(6), g.standard_normal((6, 2)).ravel()]),
+    ]
+    for draw in draws:
+        streams.rekey(index)
+        np.testing.assert_array_equal(draw(streams.gen), draw(keyed_generator(seed, index)))
+        if seed >= 0 and index < 2 ** 63:
+            streams.rekey(index)
+            np.testing.assert_array_equal(draw(streams.gen), draw(reference_generator(seed, index)))
+
+
+def test_negative_seeds_key_their_own_streams(iso):
+    # seed -7 keys as 2^64 - 7, not as seed 0
+    walk = lh.simulate_walk(iso, 6, seed=-7).points
+    assert walk.tobytes() != lh.simulate_walk(iso, 6, seed=0).points.tobytes()
+    assert walk.tobytes() == lh.simulate_walk(iso, 6, seed=2 ** 64 - 7).points.tobytes()
+
+
+def test_simulate_walk_is_walk_zero_of_the_reference():
+    model, n, _, _ = IDENTITY_LAWS["triangle-eps"]
+    tilts = np.random.default_rng(8).normal(scale=0.3, size=(n, 2))
+    X, pts = next(reference_walks(model, tilts, 31, 1))
+    w = lh.simulate_walk(model, n, seed=31, tilts=tilts)
+    np.testing.assert_array_equal(w.points, pts)
+    assert w.hull_area == mc.hull_area_points(pts)
+    assert w.log_weight == math.fsum(lh.cumulant(model, tilts)) - float(np.einsum("ij,ij->", tilts, X))
+
+
+# Outputs of the per-walk engine (hits, rate_estimate), recorded before the
+# walks were blocked; the ldp-hull simulate command of each case prints them.
+PINNED = [
+    ("iso-n40", lh.gaussian([0, 0], np.eye(2)), 0.3, 40, 2000, "tilted", 11, 1235, 0.9168654939959658),
+    ("corr-drift-n30", lh.gaussian([0.3, 0], [[1, 0.2], [0.2, 1]]), 0.2, 30, 2000, "tilted", 12,
+     1326, 0.3865181838111622),
+    ("graph-pm1-n6", lh.graph1d(1, lh.atoms1d([1, -1], [0.5, 0.5])), 0.2, 6, 3000, "tilted", 13,
+     2103, 0.14911373321766153),
+    ("square-eps1e-2-n20", lh.atoms([[2, 2], [-2, 2], [2, -2], [-2, -2]], [0.25] * 4, eps=0.01),
+     0.2, 20, 2000, "tilted", 14, 1750, 0.04469015067409572),
+    ("graph-gauss-n15", lh.graph1d(1, lh.gaussian1d(0, 1)), 0.3, 15, 2000, "tilted", 15,
+     1330, 0.5470674563489556),
+    ("deep-tail-n300", lh.gaussian([0, 0], np.eye(2)), 1.0, 300, 300, "tilted", 7, 197, 3.103757460615349),
+    ("naive-iso-n12", lh.gaussian([0, 0], np.eye(2)), 0.1, 12, 3000, "naive", 4, 552, 0.14106829344776262),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[c[0] for c in PINNED])
+def test_pinned_estimates(case):
+    _, model, area, n, samples, mode, seed, hits, rate = case
+    est = lh.estimate_ldp(model, area, n, samples, mode=mode, seed=seed)
+    assert est.hits == hits
+    assert est.rate == pytest.approx(rate, rel=1e-13, abs=0.0)
 
 
 def test_log_mean_exp_below_exp_underflow():

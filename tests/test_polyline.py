@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldp_hull as lh
-from ldp_hull.polyline import PolygonalLine
+from ldp_hull import montecarlo as mc
+from ldp_hull.polyline import PolygonalLine, _hull_area_bounds
 
 from conftest import brute_force_hull_area
 
@@ -222,3 +225,43 @@ def test_polyline_validation():
         PolygonalLine(np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
         PolygonalLine(np.array([[0.0, 0.0], [0.0, 0.0]]))
+
+
+@st.composite
+def point_stacks(draw):
+    """A (B, m, 2) stack of point sets of one shape: scattered, collinear,
+    repeated, single points or +-1 lattice walks, scaled and shifted far
+    from the origin."""
+    kind = draw(st.sampled_from(["scatter", "collinear", "repeated", "single", "lattice"]))
+    B = draw(st.integers(1, 5))
+    m = 1 if kind == "single" else draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e7])) * rng.normal(size=2)
+    if kind == "lattice":
+        steps = np.stack([np.ones((B, m - 1)), rng.choice([-1.0, 1.0], size=(B, m - 1))], axis=2)
+        walk = np.concatenate([np.zeros((B, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
+        return walk + np.round(offset)
+    if kind == "collinear":
+        pts = rng.normal(size=(B, m, 1)) * rng.normal(size=2)
+    elif kind == "repeated":
+        pts = rng.normal(size=(B, 3, 2))[:, rng.integers(0, 3, size=m)]
+    else:
+        pts = rng.normal(size=(B, m, 2))
+    return 10.0 ** draw(st.integers(-3, 3)) * pts + offset
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pts=point_stacks())
+def test_hull_area_bounds_bracket_the_exact_hull(pts):
+    lower, upper = _hull_area_bounds(pts)
+    for b in range(len(pts)):
+        assert lower[b] <= mc.hull_area_points(pts[b]) <= upper[b]
+
+
+def test_hull_area_bounds_are_tight_on_round_sets():
+    # the inscribed and circumscribed 32-gons of the unit circle: -0.64%, +0.32%
+    t = np.linspace(0.0, 2 * math.pi, 400, endpoint=False) + 0.1
+    circle = np.column_stack([np.cos(t), np.sin(t)])
+    lower, upper = _hull_area_bounds(np.stack([circle, 3.0 * circle + 5.0]))
+    assert lower / np.array([1.0, 9.0]) == pytest.approx(math.pi * (1 - 0.0064), rel=1e-3)
+    assert upper / np.array([1.0, 9.0]) == pytest.approx(math.pi * (1 + 0.0032), rel=1e-3)
