@@ -45,6 +45,7 @@ __all__ = [
 _PROB_TOL = 1e-12
 _COLLINEAR_TOL = 1e-12
 _ROOT_ROUNDS = 200
+_SYMMETRY_TOL = 1e-10  # relative gap of K(u) and K(-u) on the probe grid
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -376,14 +377,14 @@ def regularize(model: IncrementModel, eps: float) -> IncrementModel:
     return replace(model, epsilon=model.epsilon + eps)
 
 
-def is_centrally_symmetric(model: IncrementModel, tol: float = 1e-10) -> bool:
+def is_centrally_symmetric(model: IncrementModel) -> bool:
     """Probe-grid test of K(u) == K(-u) on |u| <= 3."""
     angles = np.linspace(0.0, np.pi, 37)[:-1]
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     U = np.concatenate([r * dirs for r in (0.5, 1.0, 2.0, 3.0)])
     kp = cumulant(model, U)
     km = cumulant(model, -U)
-    return bool(np.all(np.abs(kp - km) <= tol * np.maximum(1.0, np.abs(kp))))
+    return bool(np.all(np.abs(kp - km) <= _SYMMETRY_TOL * np.maximum(1.0, np.abs(kp))))
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,9 @@ def rate_gradient(model: inc.IncrementModel, v) -> np.ndarray:
 # One-dimensional rate of the vertical component of a Graph1D model
 
 def _y_model(model: inc.IncrementModel) -> "inc.Gaussian1D | inc.Atoms1D":
+    """The vertical law of a graph model; the graph routes need it unregularized."""
     if not isinstance(model.kind, inc.Graph1D) or model.epsilon != 0.0:
-        raise NotFullPlaneError("rate_1d needs an unregularized graph model")
+        raise NotFullPlaneError("expected an unregularized graph model")
     return model.kind.y_model
 
 

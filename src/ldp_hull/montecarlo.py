@@ -32,7 +32,8 @@ import numpy as np
 from . import increments as inc
 from . import legendre
 from . import solver
-from .polyline import _hull_area_bounds, _polygon_area, convex_hull_vertices
+# convex_hull_vertices stays bound here: the benchmark's span tracing wraps it
+from .polyline import _hull_area_bounds, convex_hull_vertices, hull_area  # noqa: F401
 
 __all__ = ["WalkSample", "LdpEstimate", "simulate_walk", "hull_area_points", "estimate_ldp"]
 
@@ -67,6 +68,7 @@ class LdpEstimate:
 
 
 _BLOCK_POINTS = 2048  # walk points per block: bounds the block arrays, whatever n is
+_BATCHES = 10  # batch means for the standard error
 
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:
@@ -167,12 +169,7 @@ def _walk_blocks(model: inc.IncrementModel, tilts: np.ndarray, seed: int, sample
         yield start, X, P
 
 
-def hull_area_points(points) -> float:
-    """Convex-hull area of a point set (monotone chain + shoelace); 0 if collinear."""
-    hull = convex_hull_vertices(points)
-    if len(hull) < 3:
-        return 0.0
-    return abs(_polygon_area(hull))
+hull_area_points = hull_area  # convex-hull area of a point set; 0 if collinear
 
 
 def simulate_walk(
@@ -242,7 +239,6 @@ def estimate_ldp(
     mode: str = "naive",
     seed: int = 0,
     threads: int | None = None,
-    batches: int = 10,
 ) -> LdpEstimate:
     """Estimate of the decay rate of P(A_n >= area * n^2) from ``samples`` walks.
 
@@ -250,14 +246,14 @@ def estimate_ldp(
     instead of failing.  Tilted mode draws every step from the exponentially
     tilted law along the optimal trajectory and averages indicator * weight,
     in the log domain, so ``zero_hits`` means no walk reached the threshold.
-    The standard error comes from batch means over ``batches`` batches (None
-    when a batch has no hit).  Walks run serially, in blocks of about 2048
-    points whose hull areas are mostly decided by bounds, with the outputs of
-    a walk-by-walk run; ``threads`` is accepted and ignored.
+    The standard error comes from batch means over ``_BATCHES`` = 10
+    batches (None when a batch has no hit).  Walks run serially, in blocks
+    of about 2048 points whose hull areas are mostly decided by bounds, with
+    the outputs of a walk-by-walk run; ``threads`` is accepted and ignored.
     """
     if mode not in ("naive", "tilted"):
         raise ValueError("mode must be 'naive' or 'tilted'")
-    if samples < batches:
+    if samples < _BATCHES:
         raise ValueError("need at least as many samples as batches")
     tilts = (
         _optimal_tilts(model, area, n) if mode == "tilted" else np.zeros((n, 2))
@@ -268,11 +264,11 @@ def estimate_ldp(
         return LdpEstimate(None, None, hits, samples, mode, True, 0.0, -math.inf)
     log_prob = _log_mean_exp(log_w, samples)
 
-    edges = np.linspace(0, samples, batches + 1).astype(int)
+    edges = np.linspace(0, samples, _BATCHES + 1).astype(int)
     batch_log_probs = [_log_mean_exp(log_w[a:b], b - a) for a, b in zip(edges[:-1], edges[1:])]
     if min(batch_log_probs) > -math.inf:
         batch_rates = [-lp / n for lp in batch_log_probs]
-        stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(batches))
+        stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(_BATCHES))
     else:
         stderr = None
     return LdpEstimate(-log_prob / n, stderr, hits, samples, mode, False, math.exp(log_prob), log_prob)

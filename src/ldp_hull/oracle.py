@@ -26,6 +26,9 @@ from .polyline import _perp, convexification_order
 
 __all__ = ["DiscreteCurve", "minimize_discrete", "convexify_curve", "curve_points"]
 
+_MAX_OUTER = 60  # augmented-Lagrangian rounds
+_MAX_INNER = 4000  # gradient steps per round
+
 
 @dataclass
 class DiscreteCurve:
@@ -79,7 +82,7 @@ def _half_circle_init(model, area: float, n: int, sign: int) -> np.ndarray:
     raise NoConvergenceError("could not find a finite-energy starting curve")
 
 
-def _solve_sign(model, area, n, sign, feas_tol, stat_tol, max_outer, max_inner):
+def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
     V = _half_circle_init(model, area, n, sign)
     target = sign * area
     omega, rho = 0.0, 10.0
@@ -100,11 +103,11 @@ def _solve_sign(model, area, n, sign, feas_tol, stat_tol, max_outer, max_inner):
         return L, G, U, c
 
     c = gnorm = math.inf
-    for _outer in range(max_outer):
+    for _outer in range(_MAX_OUTER):
         gtol = max(0.5 * stat_tol, min(0.1, 10.0 * abs(c) if math.isfinite(c) else 0.1))
         L, G, U, c = evaluate(V, U)
         step = 1.0
-        for _inner in range(max_inner):
+        for _inner in range(_MAX_INNER):
             gnorm = n * float(np.max(np.linalg.norm(G, axis=1)))
             if gnorm <= gtol:
                 break
@@ -134,7 +137,7 @@ def _solve_sign(model, area, n, sign, feas_tol, stat_tol, max_outer, max_inner):
         c_prev = c
     raise NoConvergenceError(
         f"augmented Lagrangian stalled: |constraint|={abs(c):.3e}, stationarity={gnorm:.3e} "
-        f"after {max_outer} outer rounds"
+        f"after {_MAX_OUTER} outer rounds"
     )
 
 
@@ -145,8 +148,6 @@ def minimize_discrete(
     *,
     feas_tol: float = 1e-6,
     stat_tol: float = 1e-4,
-    max_outer: int = 60,
-    max_inner: int = 4000,
 ) -> DiscreteCurve:
     """Best piecewise-linear curve with |signed area| = ``area`` (n segments).
 
@@ -167,7 +168,7 @@ def minimize_discrete(
     first_error = None
     for sign in (+1, -1):
         try:
-            cand = _solve_sign(model, area, n, sign, feas_tol, stat_tol, max_outer, max_inner)
+            cand = _solve_sign(model, area, n, sign, feas_tol, stat_tol)
         except NoConvergenceError as exc:
             first_error = first_error or exc
             continue

@@ -5,8 +5,12 @@ a cumulant level set: the level ``alpha`` solves a scalar equation tying the
 derivative of the square-rooted (half-)sub-level area to the target area, the
 admissible cut directions ``ell`` are those where the level set meets the
 line through the origin at a centrally symmetric point pair, and each arc is
-traversed in either orientation.  Graph models (support on a vertical line)
-have an explicit two-curve solution driven by the vertical cumulant.
+traversed in either orientation.  One routine finds those chords
+(:func:`candidate_directions`): it seeds the directions and settles each
+arc's direction/level fixed point.  Each arc is solved once; its reverse
+traversal (-ell, -tau) is derived from it, so mirror energies tie exactly.
+Graph models (support on a vertical line) have an explicit two-curve
+solution driven by the vertical cumulant.
 
 Derivatives of sqrt(area) in the level value are always obtained through the
 coarea identity (arc-mass quadrature), never by finite differences.  A level
@@ -272,24 +276,16 @@ def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
     thetas = np.linspace(0.0, np.pi, k, endpoint=False)
     gaps, _ = _radius_gap(model, alpha, thetas)
     scale = 1e-12 * max(1.0, float(np.max(np.abs(gaps))))
+    # scan intervals [thetas[i], ends[i]]; the gap is anti-periodic
+    ends, end_gaps = np.append(thetas[1:], np.pi), np.append(gaps[1:], -gaps[0])
     roots: list[float] = []
-    for i in range(k):
-        gi = gaps[i]
-        gj = gaps[i + 1] if i + 1 < k else -gaps[0]  # the gap is anti-periodic
-        ti = thetas[i]
-        tj = thetas[i + 1] if i + 1 < k else np.pi
-        if abs(gi) <= scale:
-            roots.append(float(ti))
-            continue
-        if gi * gj < 0.0:
-            roots.append(_direction_root(model, alpha, ti, tj, gi, gj))
-    out = []
-    for theta in _dedup_angles(roots):
-        e = np.array([math.cos(theta), math.sin(theta)])
-        for ell in (e, -e):
-            for tau in (+1, -1):
-                out.append((ell, tau))
-    return out
+    for lo, hi, g_lo, g_hi in zip(thetas, ends, gaps, end_gaps):
+        if abs(g_lo) <= scale:
+            roots.append(float(lo))
+        elif g_lo * g_hi < 0.0:
+            roots.append(_direction_root(model, alpha, lo, hi, g_lo, g_hi))
+    units = [np.array([math.cos(t), math.sin(t)]) for t in _dedup_angles(roots)]
+    return [(ell, tau) for e in units for ell in (e, -e) for tau in (+1, -1)]
 
 
 def _direction_root(model, alpha, lo, hi, g_lo, g_hi) -> float:
@@ -347,12 +343,24 @@ def _candidate(model, alpha, ell, tau, n) -> Candidate:
     return Candidate(float(alpha), _unit(ell), int(tau), traj, float(traj.energy), tau * lam)
 
 
-def _solve_candidate(model, theta, tau, area, n, scan_step):
+def _reversed(c: Candidate) -> Candidate:
+    """The arc of ``c`` traversed from its other end: (-ell, -tau), with
+    trajectory h(1) - h(1 - t), reversed derivatives, the same energy and the
+    negated multiplier."""
+    t = c.trajectory
+    traj = Trajectory(t.times, t.points[-1] - t.points[::-1], t.derivs[::-1].copy(), energy=t.energy)
+    return Candidate(c.alpha, -c.ell, -c.tau, traj, c.energy, -c.multiplier)
+
+
+def _solve_candidate(model, theta, tau, area, n, k):
     """Fixed-point resolution of the coupled (direction, level) conditions.
 
-    The level equation is solved at a fixed direction; when the
-    symmetric-chord directions drift with the level (they do not for
-    quadratic cumulants), the two solves alternate until both stabilize;
+    The level equation is solved at the direction ``theta``; the level set's
+    chords (:func:`candidate_directions` with ``k`` scan angles) are found at
+    that level, and ``theta`` moves to the nearest chord direction with the
+    same ``tau``, until it moves by at most 1e-12 (chord directions do not
+    drift with the level for quadratic cumulants).  None when the arc has no
+    level root or the level set has no chord;
     :class:`NoConvergenceError` after ``_FIXED_POINT_ROUNDS`` rounds.
     """
     target = 1.0 / (2.0 * math.sqrt(area))
@@ -361,34 +369,24 @@ def _solve_candidate(model, theta, tau, area, n, scan_step):
         alpha, _cap = _solve_level(model, lambda n: _arc_rule(model, ell, tau, n), target)
         if alpha is None:
             return None
-        gaps, _ = _radius_gap(model, alpha, np.array([theta - scan_step, theta, theta + scan_step]))
-        g_lo, g_mid, g_hi = gaps
-        scale = 1e-12 * max(1.0, abs(g_lo), abs(g_hi))
-        if abs(g_mid) <= scale:
-            break
-        if g_lo * g_mid < 0.0:
-            new_theta = _direction_root(model, alpha, theta - scan_step, theta, g_lo, g_mid)
-        elif g_mid * g_hi < 0.0:
-            new_theta = _direction_root(model, alpha, theta, theta + scan_step, g_mid, g_hi)
-        else:
-            return None  # symmetric chord lost at this level
-        if abs(new_theta - theta) <= 1e-12:
-            theta = new_theta
-            break
+        chords = [math.atan2(e[1], e[0]) for e, t in candidate_directions(model, alpha, k) if t == tau]
+        if not chords:
+            return None
+        gap = lambda c: abs(math.remainder(c - theta, 2.0 * math.pi))  # angle mod 2 pi
+        new_theta = min(chords, key=gap)
+        if gap(new_theta) <= 1e-12:
+            return _candidate(model, alpha, ell, tau, n)
         theta = new_theta
-    else:
-        raise NoConvergenceError(
-            f"direction/level fixed point unsettled after {_FIXED_POINT_ROUNDS} rounds"
-        )
-    ell = np.array([math.cos(theta), math.sin(theta)])
-    return _candidate(model, alpha, ell, tau, n)
+    raise NoConvergenceError(
+        f"direction/level fixed point unsettled after {_FIXED_POINT_ROUNDS} rounds"
+    )
 
 
 def _ordered(cands: list[Candidate]) -> list[Candidate]:
     """Candidates by energy; those within ``_TIE_RTOL`` of the lowest energy
     left are ordered by (angle of ell, tau).  The arcs (ell, tau) and
-    (-ell, -tau) are one arc traversed from opposite ends, so rounding alone
-    would otherwise decide which of them leads."""
+    (-ell, -tau) are one arc traversed from opposite ends, with one energy,
+    so the angle decides which of them leads."""
     rest = sorted(cands, key=lambda c: c.energy)
     out: list[Candidate] = []
     while rest:
@@ -410,14 +408,16 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
         )
         if seed_alpha is None:
             seed_alpha = 1.0
-        found = candidate_directions(model, seed_alpha, directions)
         cands = []
-        scan_step = math.pi / directions
-        for ell, tau in found:
+        for ell, tau in candidate_directions(model, seed_alpha, directions):
             theta = math.atan2(ell[1], ell[0])
-            cand = _solve_candidate(model, theta, tau, area, n, scan_step)
-            if cand is not None:
-                cands.append(cand)
+            if theta >= 0.0:
+                continue  # the reverse of the arc (-ell, -tau), derived from it below
+            cand = _solve_candidate(model, theta, tau, area, n, directions)
+            if cand is not None and not any(
+                d.tau == cand.tau and np.linalg.norm(d.ell - cand.ell) <= 1e-9 for d in cands
+            ):
+                cands += [cand, _reversed(cand)]
         if not cands:
             raise NoCandidateError(
                 "no admissible (level, direction, orientation) triple: "
@@ -480,12 +480,6 @@ def rate_of_area(
 # ---------------------------------------------------------------------------
 # Graph models: support on a vertical line
 
-def _vertical_cumulant_funcs(model):
-    if not isinstance(model.kind, inc.Graph1D) or model.epsilon != 0.0:
-        raise NotFullPlaneError("graph_trajectory needs an unregularized graph model")
-    return model.kind.mu1, model.kind.y_model
-
-
 # Gauss-Legendre nodes and weights on [-1, 1], _GRAPH_NODES on each side of 0:
 # the integrands below bend sharply at s = 0 when u is large.
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GRAPH_NODES)
@@ -518,7 +512,8 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     """
     if not (area > 0.0):
         raise ValueError("target area must be positive")
-    mu1, y = _vertical_cumulant_funcs(model)
+    y = legendre._y_model(model)
+    mu1 = model.kind.mu1
     a_max = _graph_a_max(mu1, y)
     if area >= a_max:
         raise OutOfRangeError("target area at or beyond the graph-model range", a_max=a_max)
@@ -573,8 +568,8 @@ def euler_lagrange_residual(model: inc.IncrementModel, traj: Trajectory, multipl
 def euler_lagrange_residual_1d(model: inc.IncrementModel, traj: Trajectory, multiplier: float) -> float:
     """Graph-model analogue on the vertical coordinate:
     multiplier * mu1 * t = I_y'(h2'(t)) - I_y'(h2'(0)), plus the endpoint defect."""
-    mu1, _y = _vertical_cumulant_funcs(model)
     w = legendre.rate_1d_gradient(model, traj.derivs[:, 1])
+    mu1 = model.kind.mu1
     res = float(np.max(np.abs(multiplier * mu1 * traj.times - (w - w[0]))))
     defect = float(abs(w[-1] + w[0]))
     return res + defect

@@ -428,10 +428,30 @@ def test_mirrored_candidates_lead_in_either_order():
 
 
 def test_unsettled_direction_fixed_point_raises(drift, monkeypatch):
-    # a direction that moves by half a scan step every round never settles
-    gaps = np.array([-1.0, 1.0, 2.0])
+    # a chord that moves by half a scan step every round never settles
+    step = math.pi / 256
+    theta = [math.pi / 2]
+
+    def moving_chord(model, alpha, k=256):
+        theta[0] += 0.5 * step
+        e = np.array([math.cos(theta[0]), math.sin(theta[0])])
+        return [(ell, tau) for ell in (e, -e) for tau in (+1, -1)]
+
     monkeypatch.setattr(solver, "_solve_decreasing", lambda fn, target: (1.0, None))
-    monkeypatch.setattr(solver, "_radius_gap", lambda model, alpha, thetas, r0=None: (gaps, None))
-    monkeypatch.setattr(solver, "_direction_root", lambda m, a, lo, hi, g_lo, g_hi: 0.5 * (lo + hi))
+    monkeypatch.setattr(solver, "candidate_directions", moving_chord)
     with pytest.raises(NoConvergenceError):
-        solver._solve_candidate(drift, math.pi / 2, +1, 1.0, 64, math.pi / 256)
+        solver._solve_candidate(drift, math.pi / 2, +1, 1.0, 64, 256)
+
+
+def test_seeds_settling_on_one_arc_list_it_once(drift, monkeypatch):
+    # two scanned chords whose fixed points settle on the same arc give that
+    # arc once, followed by its reverse traversal
+    arc = _stub_candidate(0.5, -2.0, +1)
+    seeds = [(np.array([math.cos(t), math.sin(t)]), +1) for t in (-2.0, -1.0)]
+    monkeypatch.setattr(solver, "candidate_directions", lambda model, alpha, k=256: seeds)
+    monkeypatch.setattr(solver, "_solve_candidate", lambda *args: arc)
+    res = solver._solve_full_plane(drift, 0.5, 256, 64)
+    assert [c.tau for c in res.candidates] == [+1, -1]
+    assert res.candidates[0] is arc
+    np.testing.assert_array_equal(res.candidates[1].ell, -arc.ell)
+    assert res.candidates[1].multiplier == -arc.multiplier
