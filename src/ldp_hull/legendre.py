@@ -94,25 +94,19 @@ def _solve2x2(H: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _conjugate_maximizer(
-    model: inc.IncrementModel,
-    V: np.ndarray,
-    init: np.ndarray | None = None,
+    model: inc.IncrementModel, V: np.ndarray, feasible: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched solve of grad K(u) = v.
+    """Batched solve of grad K(u) = v on the rows ``feasible`` (the domain mask).
 
     Damped Newton with Armijo halving, falling back to a residual-direction
     step (gradient descent on the dual objective K(u) - u.v) whenever the
     Newton step fails to produce decrease.  Initial guess is the linearization
-    Hess K(0)^{-1} (v - mu) unless ``init`` is given.  Returns (U, converged);
-    rows outside the effective domain come back unconverged.
+    Hess K(0)^{-1} (v - mu).  Returns (U, converged); rows outside the
+    effective domain come back unconverged.
     """
-    feasible = _domain_mask(model, V)
     mu = inc.drift(model)
-    if init is None:
-        H0 = inc.cumulant_hessian(model, np.zeros(2))[None]
-        U = _solve2x2(np.broadcast_to(H0, (len(V), 2, 2)), V - mu)
-    else:
-        U = np.array(init, dtype=float)
+    H0 = inc.cumulant_hessian(model, np.zeros(2))[None]
+    U = _solve2x2(np.broadcast_to(H0, (len(V), 2, 2)), V - mu)
     if model.epsilon > 0.0 and isinstance(model.kind, inc.Atoms):
         # far outside the atom hull the quadratic term dominates:
         # grad K(u) ~ p + eps*u for the leading atom p, so (v - p)/eps is a
@@ -182,16 +176,15 @@ def _conjugate_maximizer(
     return U, converged
 
 
-def rate_batch(
-    model: inc.IncrementModel,
-    V,
-    init: np.ndarray | None = None,
-    return_maximizers: bool = False,
-):
-    """Rate values on rows of ``V``; ``math.inf`` outside the effective domain."""
+def rate_batch(model: inc.IncrementModel, V, return_maximizers: bool = False):
+    """Rate values u.v - K(u) on rows of ``V``; ``math.inf`` outside the effective domain.
+
+    Each u solves grad K(u) = v from the linearized start.  A caller that can
+    carry u and read v = grad K(u), as the oracle does, needs no inversion.
+    """
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    U, ok = _conjugate_maximizer(model, V, init)
     feasible = _domain_mask(model, V)
+    U, ok = _conjugate_maximizer(model, V, feasible)
     if np.any(feasible & ~ok):
         raise NoConvergenceError(
             f"gradient inversion failed for {int(np.sum(feasible & ~ok))} points "
@@ -215,9 +208,10 @@ def rate_gradient(model: inc.IncrementModel, v) -> np.ndarray:
     """Maximizer u* of the conjugate problem: the inverse of the cumulant gradient."""
     _require_full_plane(model, "rate_gradient")
     V = np.reshape(np.asarray(v, float), (1, 2))
-    if not _domain_mask(model, V)[0]:
+    feasible = _domain_mask(model, V)
+    if not feasible[0]:
         raise OutsideDomainError("v lies outside the effective domain of the rate")
-    U, ok = _conjugate_maximizer(model, V)
+    U, ok = _conjugate_maximizer(model, V, feasible)
     if not ok[0]:
         raise NoConvergenceError(f"gradient inversion failed after {_MAX_ITER} iterations")
     return U[0]

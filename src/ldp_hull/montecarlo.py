@@ -253,6 +253,8 @@ def estimate_ldp(
     """
     if mode not in ("naive", "tilted"):
         raise ValueError("mode must be 'naive' or 'tilted'")
+    if n < 1:
+        raise ValueError(f"need at least one step, got {n}")
     if samples < _BATCHES:
         raise ValueError("need at least as many samples as batches")
     tilts = (

@@ -8,6 +8,11 @@ with the same optimum over this class); hull area is verified a posteriori on
 the convexified output.  Both constraint signs are solved and the better
 energy reported.
 
+The descent runs in the dual variables (mirror descent in the geometry of K):
+each segment carries u, with velocity v = grad K(u) and rate u.v - K(u), so
+only the start is inverted.  A step moves u along minus the gradient G in v,
+with Armijo slope G.Hess K(u).G.
+
 This is a consistency check, not a certificate: the discrete constraint set
 is nonconvex, so global optimality of the inner solve is not guaranteed.
 """
@@ -46,21 +51,18 @@ def curve_points(curve: "DiscreteCurve | np.ndarray") -> np.ndarray:
     return pts
 
 
+def _area_terms(v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Signed area and its gradient in the velocities, from one partial-sum pass."""
+    n = len(v)
+    H = np.cumsum(v, axis=0) / n
+    Hprev = np.vstack([np.zeros(2), H[:-1]])
+    area = float(np.sum(Hprev[:, 0] * v[:, 1] - Hprev[:, 1] * v[:, 0])) / (2.0 * n)
+    return area, _perp(Hprev + H - H[-1]) / (2.0 * n)
+
+
 def signed_area(velocities: np.ndarray) -> float:
     """Discrete signed area 1/(2n) * sum of cross(h(t_{i-1}), v_i)."""
-    v = np.asarray(velocities, float)
-    n = len(v)
-    H = np.cumsum(v, axis=0) / n
-    Hprev = np.vstack([np.zeros(2), H[:-1]])
-    return float(np.sum(Hprev[:, 0] * v[:, 1] - Hprev[:, 1] * v[:, 0])) / (2.0 * n)
-
-
-def _area_gradient(velocities: np.ndarray) -> np.ndarray:
-    v = velocities
-    n = len(v)
-    H = np.cumsum(v, axis=0) / n
-    Hprev = np.vstack([np.zeros(2), H[:-1]])
-    return _perp(Hprev + H - H[-1]) / (2.0 * n)
+    return _area_terms(np.asarray(velocities, float))[0]
 
 
 def _mean_energy(vals: np.ndarray) -> float:
@@ -69,68 +71,64 @@ def _mean_energy(vals: np.ndarray) -> float:
 
 
 def _half_circle_init(model, area: float, n: int, sign: int) -> np.ndarray:
+    # dual points of the half circle, shrunk toward the drift into the domain
     radius = math.sqrt(2.0 * area / math.pi)
     t = np.linspace(0.0, 1.0, n + 1)
     pts = radius * np.column_stack([np.sin(math.pi * t), sign * (1.0 - np.cos(math.pi * t))])
     V = np.diff(pts, axis=0) * n
-    # keep the start strictly inside the rate's effective domain
     mu = inc.drift(model)
     for _ in range(60):
-        if np.all(np.isfinite(legendre.rate_batch(model, V))):
-            return V
+        vals, U = legendre.rate_batch(model, V, return_maximizers=True)
+        if np.all(np.isfinite(vals)):
+            return U
         V = mu + 0.5 * (V - mu)
     raise NoConvergenceError("could not find a finite-energy starting curve")
 
 
 def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
-    V = _half_circle_init(model, area, n, sign)
+    U = _half_circle_init(model, area, n, sign)
     target = sign * area
     omega, rho = 0.0, 10.0
-    U = None
     c_prev = math.inf
 
-    def evaluate(V, U_init):
-        try:
-            vals, U = legendre.rate_batch(model, V, init=U_init, return_maximizers=True)
-        except NoConvergenceError:
-            # a wild line-search trial point; report infinite so it is rejected
-            return math.inf, None, U_init, None
-        if np.any(np.isinf(vals)):
-            return math.inf, None, U, None
-        c = signed_area(V) - target
+    def evaluate(U):
+        # every dual point is in the domain: v = grad K(u), I(v) = u.v - K(u)
+        V = inc.cumulant_gradient(model, U)
+        vals = np.maximum(np.einsum("ij,ij->i", U, V) - inc.cumulant(model, U), 0.0)
+        a, dA = _area_terms(V)
+        c = a - target
         L = _mean_energy(vals) + omega * c + 0.5 * rho * c * c
-        G = U / n + (omega + rho * c) * _area_gradient(V)
-        return L, G, U, c
+        G = U / n + (omega + rho * c) * dA
+        return L, G, V, vals, a, c
 
     c = gnorm = math.inf
     for _outer in range(_MAX_OUTER):
         gtol = max(0.5 * stat_tol, min(0.1, 10.0 * abs(c) if math.isfinite(c) else 0.1))
-        L, G, U, c = evaluate(V, U)
+        L, G, V, vals, a, c = evaluate(U)
         step = 1.0
         for _inner in range(_MAX_INNER):
             gnorm = n * float(np.max(np.linalg.norm(G, axis=1)))
             if gnorm <= gtol:
                 break
+            # a step -G in u moves v along -Hess K(u) G, a descent direction in v
             D = -G
-            gg = float(np.sum(G * G))
+            slope = float(np.einsum("ij,ijk,ik->", G, inc.cumulant_hessian(model, U), G))
             t = step
-            accepted = False
             for _ in range(60):
-                Lt, Gt, Ut, ct = evaluate(V + t * D, U)
-                if Lt <= L - 1e-4 * t * gg:
-                    accepted = True
+                trial = evaluate(U + t * D)
+                if trial[0] <= L - 1e-4 * t * slope:
                     break
                 t *= 0.5
-            if not accepted:
+            else:
                 break
             s = t * D
-            y = Gt - G
+            y = trial[1] - G
             sy = float(np.sum(s * y))
             step = min(max(float(np.sum(s * s)) / sy, 1e-12), 1e3) if sy > 0 else t * 2.0
-            V, L, G, U, c = V + s, Lt, Gt, Ut, ct
+            U = U + s
+            L, G, V, vals, a, c = trial
         if abs(c) <= feas_tol and gnorm <= stat_tol:
-            vals = legendre.rate_batch(model, V, init=U)
-            return DiscreteCurve(n, V, _mean_energy(vals), signed_area(V))
+            return DiscreteCurve(n, V, _mean_energy(vals), a)
         omega += rho * c
         if abs(c) > 0.25 * abs(c_prev):
             rho = min(2.0 * rho, 1e9)
@@ -152,11 +150,13 @@ def minimize_discrete(
     """Best piecewise-linear curve with |signed area| = ``area`` (n segments).
 
     Initialization is a scaled half circle matching the target area (near the
-    basin for every benchmark law, whose optimal curves are convex arcs);
-    both constraint signs are solved and the lower energy returned.  The
+    basin for every benchmark law, whose optimal curves are convex arcs),
+    inverted once; the descent moves its dual points u, velocities grad K(u).
+    Both constraint signs are solved and the lower energy returned.  The
     penalty doubles from 10 whenever feasibility stalls.  Feasibility is
     |signed area - target| <= ``feas_tol``; stationarity is the max row norm
-    of the augmented-Lagrangian gradient scaled by n.
+    of the augmented-Lagrangian gradient in v scaled by n.  Both tolerances
+    must be positive and finite.
     """
     if inc.support_class(model).tag != "full_plane":
         raise NotFullPlaneError("minimize_discrete needs a full-plane support class")
@@ -164,6 +164,9 @@ def minimize_discrete(
         raise ValueError("target area must be positive")
     if n < 8:
         raise ValueError("need at least 8 segments")
+    for name, tol in (("feas_tol", feas_tol), ("stat_tol", stat_tol)):
+        if not (0.0 < tol < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
     best = None
     first_error = None
     for sign in (+1, -1):

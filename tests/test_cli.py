@@ -131,6 +131,27 @@ def test_oracle_subcommand(specs, tmp_path):
     assert (tmp_path / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--feas-tol", "--stat-tol"])
+@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+def test_oracle_rejects_unreachable_tolerances(specs, capsys, flag, value):
+    # a tolerance that can never be met is refused before any descent runs
+    code = main(["oracle", "--dist", specs["gauss_iso.json"], "--area", "0.5",
+                 "--segments", "16", f"{flag}={value}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("mode", ["naive", "tilted"])
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_simulate_without_steps_is_one_line_error(specs, capsys, mode, steps):
+    code = main(["simulate", "--dist", specs["gauss_iso.json"], "--area", "0.1",
+                 f"--steps={steps}", "--samples", "100", "--mode", mode])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "step" in err and len(err.splitlines()) == 1
+
+
 def test_simulate_byte_identical_across_runs_and_threads(specs):
     args = ["simulate", "--dist", specs["gauss_iso.json"], "--area", "0.1", "--steps", "10",
             "--samples", "2000", "--mode", "naive", "--seed", "4"]

@@ -89,6 +89,8 @@ def test_rate_strictly_increasing_in_area(name, a, ratio):
     [
         pytest.param("correlated-drift", 0.2, id="correlated-drift"),
         pytest.param("square-eps1e-2", 0.2, id="square-eps1e-2"),
+        # bare atoms near the end of their area range
+        pytest.param("triangle", 0.24, id="triangle-a0.24"),
         pytest.param("five-atoms", 0.01, id="five-atoms-a0.01"),
         pytest.param("five-atoms", 0.05, id="five-atoms-a0.05"),
         pytest.param("five-atoms", 0.15, id="five-atoms-a0.15"),

@@ -13,8 +13,8 @@ from test_solver import drift_rate_reference
 def test_discrete_area_gradient_matches_finite_differences():
     rng = np.random.default_rng(30)
     V = rng.normal(size=(12, 2))
-    base = oracle.signed_area(V)
-    G = oracle._area_gradient(V)
+    base, G = oracle._area_terms(V)
+    assert base == oracle.signed_area(V)
     h = 1e-7
     for k in range(12):
         for c in range(2):
@@ -42,6 +42,22 @@ def test_minimize_small_area_returns_drift(drift):
     curve = lh.minimize_discrete(drift, 1e-3, 16)
     assert curve.energy <= 5e-3
     assert np.max(np.linalg.norm(curve.velocities - lh.drift(drift), axis=1)) <= 0.25
+
+
+@pytest.mark.parametrize("law, area", [("iso", 1.0), ("drift", 1.0), ("square", 0.2)])
+def test_descent_inverts_only_its_start(law, area, request, monkeypatch):
+    # the descent carries dual points u and reads v = grad K(u): the rate's
+    # gradient inverse runs only on the starting curve of each sign
+    if law == "square":
+        model = lh.regularize(request.getfixturevalue("square_atoms"), 1e-2)
+    else:
+        model = request.getfixturevalue(law)
+    calls = []
+    real = lh.legendre.rate_batch
+    monkeypatch.setattr(lh.legendre, "rate_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
+    curve = lh.minimize_discrete(model, area, 16)
+    assert abs(abs(curve.area) - area) <= 1e-6
+    assert len(calls) <= 2
 
 
 def test_minimize_refinement_trend(iso):
