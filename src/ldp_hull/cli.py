@@ -142,12 +142,9 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _trajectory_csv(model, res, c: solver.Candidate) -> str:
+def _trajectory_csv(res, c: solver.Candidate) -> str:
     traj = c.trajectory
-    if inc.support_class(res.model).tag == "full_plane":
-        vals = legendre.rate_batch(res.model, traj.derivs)
-    else:
-        vals = legendre.rate_1d(res.model, traj.derivs[:, 1])
+    vals = legendre._dual_rates(res.model, traj.duals, traj.derivs)
     rows = np.column_stack([traj.times, traj.points, traj.derivs, vals])
     return _csv_rows(rows)
 
@@ -167,7 +164,7 @@ def _cmd_trajectory(args) -> int:
         path = os.path.join(args.csv_dir, f"candidate_{i:02d}.csv")
         with open(path, "w") as fh:
             fh.write("t,h1,h2,dh1,dh2,I\n")
-            fh.write(_trajectory_csv(model, res, c))
+            fh.write(_trajectory_csv(res, c))
         paths.append(path)
     payload["trajectory_csv"] = paths
     _write_text(args.output, dumps(payload) + "\n")
@@ -247,7 +244,6 @@ def _cmd_simulate(args) -> int:
         args.samples,
         mode=args.mode,
         seed=args.seed,
-        threads=args.threads,
     )
     cfg = _resolved_config(
         args, ["dist", "area", "steps", "samples", "mode", "seed", "threads"]

@@ -201,7 +201,8 @@ def _increasing_root(fn, x0, lo, hi, ftol, xtol=math.inf) -> np.ndarray:
     ``hi`` is infinite the upper end is capped at 2 lo + 1, so a near-flat f
     cannot throw the iterate far past the root.  An entry is done, and frozen
     at the point just evaluated, once |f| <= ftol and the bracket is at most
-    xtol (1 + |x|) wide; every entry is evaluated on every round.
+    xtol (1 + |x|) wide, or once no float lies inside its capped bracket (its
+    midpoint rounds to an end); every entry is evaluated on every round.
     """
     x = np.array(x0, dtype=float)
     lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
@@ -211,12 +212,16 @@ def _increasing_root(fn, x0, lo, hi, ftol, xtol=math.inf) -> np.ndarray:
             f, df = fn(x)
             above = f > 0.0
             lo, hi = np.where(above, lo, x), np.where(above, x, hi)
-            done |= (np.abs(f) <= ftol) & (hi - lo <= xtol * (1.0 + np.abs(x)))
+            top = np.where(np.isinf(hi), 2.0 * lo + 1.0, hi)
+            mid = 0.5 * (lo + top)
+            settled = np.abs(f) <= ftol
+            if xtol < math.inf:
+                settled &= hi - lo <= xtol * (1.0 + np.abs(x))
+            done |= settled | (mid == lo) | (mid == top)
             if done.all():
                 return x
-            top = np.where(np.isinf(hi), 2.0 * lo + 1.0, hi)
             step = x - f / df
-            step = np.where((lo < step) & (step < top), step, 0.5 * (lo + top))
+            step = np.where((lo < step) & (step < top), step, mid)
             x = np.where(done, x, step)
     raise NoConvergenceError(
         f"root solve: {int(np.sum(~done))} of {done.size} entries unsettled "

@@ -43,11 +43,14 @@ class Trajectory:
 
     ``derivs`` holds derivative samples (one-sided at the endpoints) and
     ``energy``, when set, the trapezoid quadrature of the rate along them.
+    The solver's curves carry their dual path u(t) as ``duals``, with
+    ``derivs = grad K(duals)``, so their rate u.v - K(u) needs no inversion.
     """
 
     times: np.ndarray   # strictly increasing, times[0] = 0, times[-1] = 1
     points: np.ndarray  # (n+1, 2), points[0] = (0, 0)
     derivs: np.ndarray  # (n+1, 2)
+    duals: np.ndarray | None = None  # (n+1, 2) when set
     energy: float | None = None
 
     def __post_init__(self):
@@ -93,6 +96,18 @@ def _solve2x2(H: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _linear_duals(model: inc.IncrementModel, V: np.ndarray) -> np.ndarray:
+    """Hess K(0)^{-1} (v - mu) per row: the duals of the quadratic model of K
+    at 0, exact for Gaussian laws."""
+    H0 = inc.cumulant_hessian(model, np.zeros(2))[None]
+    return _solve2x2(np.broadcast_to(H0, (len(V), 2, 2)), V - inc.drift(model))
+
+
+def _dual_rates(model: inc.IncrementModel, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rate u.v - K(u) per row, clipped at 0: the rate at v = grad K(u)."""
+    return np.maximum(np.einsum("ij,ij->i", U, V) - inc.cumulant(model, U), 0.0)
+
+
 def _conjugate_maximizer(
     model: inc.IncrementModel, V: np.ndarray, feasible: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +119,7 @@ def _conjugate_maximizer(
     Hess K(0)^{-1} (v - mu).  Returns (U, converged); rows outside the
     effective domain come back unconverged.
     """
-    mu = inc.drift(model)
-    H0 = inc.cumulant_hessian(model, np.zeros(2))[None]
-    U = _solve2x2(np.broadcast_to(H0, (len(V), 2, 2)), V - mu)
+    U = _linear_duals(model, V)
     if model.epsilon > 0.0 and isinstance(model.kind, inc.Atoms):
         # far outside the atom hull the quadratic term dominates:
         # grad K(u) ~ p + eps*u for the leading atom p, so (v - p)/eps is a
@@ -119,7 +132,7 @@ def _conjugate_maximizer(
             U[better] = cand[better]
             best = np.minimum(best, val)
     U[~feasible] = 0.0
-    exact = np.all(V == mu, axis=1)  # rate minimizer: u* = 0 exactly
+    exact = np.all(V == inc.drift(model), axis=1)  # rate minimizer: u* = 0 exactly
     U[exact] = 0.0
 
     # Globalize on the residual merit 0.5 * |grad K(u) - v|^2: with an SPD
@@ -179,8 +192,8 @@ def _conjugate_maximizer(
 def rate_batch(model: inc.IncrementModel, V, return_maximizers: bool = False):
     """Rate values u.v - K(u) on rows of ``V``; ``math.inf`` outside the effective domain.
 
-    Each u solves grad K(u) = v from the linearized start.  A caller that can
-    carry u and read v = grad K(u), as the oracle does, needs no inversion.
+    Each u solves grad K(u) = v from the linearized start.  A caller that
+    carries u and reads v = grad K(u) needs no inversion.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     feasible = _domain_mask(model, V)
@@ -190,8 +203,7 @@ def rate_batch(model: inc.IncrementModel, V, return_maximizers: bool = False):
             f"gradient inversion failed for {int(np.sum(feasible & ~ok))} points "
             f"after {_MAX_ITER} iterations"
         )
-    vals = np.einsum("ij,ij->i", U, V) - inc.cumulant(model, U)
-    vals = np.maximum(vals, 0.0)
+    vals = _dual_rates(model, U, V)
     vals[~feasible] = math.inf
     if return_maximizers:
         return vals, U

@@ -108,7 +108,8 @@ def _ray_radii(
     positive above it (it may dip first, on rays against the drift).  One
     safeguarded Newton solve on the bracket (0, inf), started from ``r0`` (the
     radii of a nearby solve) or from 1, until every residual is at most
-    ``_RAY_TOL * max(1, alpha)``; raises :class:`NoConvergenceError` otherwise.
+    ``_RAY_TOL * max(1, alpha)`` or its bracket has no float inside; raises
+    :class:`NoConvergenceError` otherwise.
     """
 
     def residual(r):

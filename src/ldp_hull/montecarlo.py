@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import increments as inc
-from . import legendre
 from . import solver
 # convex_hull_vertices stays bound here: the benchmark's span tracing wraps it
 from .polyline import _hull_area_bounds, convex_hull_vertices, hull_area  # noqa: F401
@@ -193,15 +192,9 @@ def simulate_walk(
 
 
 def _optimal_tilts(model: inc.IncrementModel, area: float, n: int) -> np.ndarray:
-    """Per-step tilts: the rate gradient of the optimal trajectory's velocity
-    at the left endpoint of each step."""
-    result = solver.rate_of_area(model, area, samples=n)
-    traj = result.candidates[0].trajectory
-    derivs = traj.derivs[:-1]
-    if inc.support_class(result.model).tag == "full_plane":
-        _, U = legendre.rate_batch(result.model, derivs, return_maximizers=True)
-        return U
-    return np.column_stack([np.zeros(n), legendre.rate_1d_gradient(result.model, derivs[:, 1])])
+    """Per-step tilts: the optimal trajectory's dual path u(t), whose cumulant
+    gradient is its velocity, at the left endpoint of each step."""
+    return solver.rate_of_area(model, area, samples=n).candidates[0].trajectory.duals[:-1]
 
 
 def _log_mean_exp(log_w: np.ndarray, count: int) -> float:
@@ -238,7 +231,6 @@ def estimate_ldp(
     samples: int,
     mode: str = "naive",
     seed: int = 0,
-    threads: int | None = None,
 ) -> LdpEstimate:
     """Estimate of the decay rate of P(A_n >= area * n^2) from ``samples`` walks.
 
@@ -249,7 +241,7 @@ def estimate_ldp(
     The standard error comes from batch means over ``_BATCHES`` = 10
     batches (None when a batch has no hit).  Walks run serially, in blocks
     of about 2048 points whose hull areas are mostly decided by bounds, with
-    the outputs of a walk-by-walk run; ``threads`` is accepted and ignored.
+    the outputs of a walk-by-walk run.
     """
     if mode not in ("naive", "tilted"):
         raise ValueError("mode must be 'naive' or 'tilted'")

@@ -9,9 +9,10 @@ the convexified output.  Both constraint signs are solved and the better
 energy reported.
 
 The descent runs in the dual variables (mirror descent in the geometry of K):
-each segment carries u, with velocity v = grad K(u) and rate u.v - K(u), so
-only the start is inverted.  A step moves u along minus the gradient G in v,
-with Armijo slope G.Hess K(u).G.
+each segment carries u, with velocity v = grad K(u) and rate u.v - K(u),
+from the linearized duals Hess K(0)^{-1} (v - mu) of a half circle, so
+nothing is inverted.  A step moves u along minus the gradient G in v, with
+Armijo slope G.Hess K(u).G.
 
 This is a consistency check, not a certificate: the discrete constraint set
 is nonconvex, so global optimality of the inner solve is not guaranteed.
@@ -71,18 +72,11 @@ def _mean_energy(vals: np.ndarray) -> float:
 
 
 def _half_circle_init(model, area: float, n: int, sign: int) -> np.ndarray:
-    # dual points of the half circle, shrunk toward the drift into the domain
+    # linearized duals of the half circle (exact for Gaussians): all valid starts
     radius = math.sqrt(2.0 * area / math.pi)
     t = np.linspace(0.0, 1.0, n + 1)
     pts = radius * np.column_stack([np.sin(math.pi * t), sign * (1.0 - np.cos(math.pi * t))])
-    V = np.diff(pts, axis=0) * n
-    mu = inc.drift(model)
-    for _ in range(60):
-        vals, U = legendre.rate_batch(model, V, return_maximizers=True)
-        if np.all(np.isfinite(vals)):
-            return U
-        V = mu + 0.5 * (V - mu)
-    raise NoConvergenceError("could not find a finite-energy starting curve")
+    return legendre._linear_duals(model, np.diff(pts, axis=0) * n)
 
 
 def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
@@ -94,7 +88,7 @@ def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
     def evaluate(U):
         # every dual point is in the domain: v = grad K(u), I(v) = u.v - K(u)
         V = inc.cumulant_gradient(model, U)
-        vals = np.maximum(np.einsum("ij,ij->i", U, V) - inc.cumulant(model, U), 0.0)
+        vals = legendre._dual_rates(model, U, V)
         a, dA = _area_terms(V)
         c = a - target
         L = _mean_energy(vals) + omega * c + 0.5 * rho * c * c
@@ -149,9 +143,9 @@ def minimize_discrete(
 ) -> DiscreteCurve:
     """Best piecewise-linear curve with |signed area| = ``area`` (n segments).
 
-    Initialization is a scaled half circle matching the target area (near the
-    basin for every benchmark law, whose optimal curves are convex arcs),
-    inverted once; the descent moves its dual points u, velocities grad K(u).
+    Initialization is the linearized duals of a scaled half circle matching
+    the target area (near the basin for every benchmark law, whose optimal
+    curves are convex arcs); the descent moves them, velocities grad K(u).
     Both constraint signs are solved and the lower energy returned.  The
     penalty doubles from 10 whenever feasibility stalls.  Feasibility is
     |signed area - target| <= ``feas_tol``; stationarity is the max row norm

@@ -320,7 +320,8 @@ def _build(model, alpha, ell, tau, n) -> tuple[Trajectory, float]:
     # 2 area - alpha mass (u . grad K/|grad K| is the support function)
     rule_of = lambda m: _arc_rule(model, arc.ell, arc.tau, m)
     area, mass, _ = _settled(model, alpha, rule_of, _settle_rtol(alpha))
-    return Trajectory(arc.times, pts, derivs, energy=2.0 * area / mass - alpha), arc.mass
+    traj = Trajectory(arc.times, pts, derivs, arc.samples, energy=2.0 * area / mass - alpha)
+    return traj, arc.mass
 
 
 def build_trajectory(
@@ -345,10 +346,11 @@ def _candidate(model, alpha, ell, tau, n) -> Candidate:
 
 def _reversed(c: Candidate) -> Candidate:
     """The arc of ``c`` traversed from its other end: (-ell, -tau), with
-    trajectory h(1) - h(1 - t), reversed derivatives, the same energy and the
-    negated multiplier."""
+    trajectory h(1) - h(1 - t), reversed derivatives and duals, the same
+    energy and the negated multiplier."""
     t = c.trajectory
-    traj = Trajectory(t.times, t.points[-1] - t.points[::-1], t.derivs[::-1].copy(), energy=t.energy)
+    derivs, duals = t.derivs[::-1].copy(), t.duals[::-1].copy()
+    traj = Trajectory(t.times, t.points[-1] - t.points[::-1], derivs, duals, energy=t.energy)
     return Candidate(c.alpha, -c.ell, -c.tau, traj, c.energy, -c.multiplier)
 
 
@@ -436,14 +438,17 @@ def rate_of_area(
 ) -> RateResult:
     """Minimal path energy over trajectories whose hull area equals ``area``.
 
-    Full-plane models are solved directly.  Proper-subset models are
-    regularized first: by ``eps`` when given, otherwise (centrally symmetric
-    laws only) through the built-in ladder eps in {1e-1, 1e-2, 1e-3}, whose
-    rungs are reported on the result.  Graph models take the explicit
-    two-curve route.
+    Any model is regularized by a positive ``eps`` (a negative or non-finite
+    one is rejected).  Otherwise full-plane models are solved directly, graph
+    models take the explicit two-curve route, and centrally symmetric
+    proper-subset models without an explicit eps go through the built-in
+    ladder eps in {1e-1, 1e-2, 1e-3}, whose rungs are reported on the result.
     """
     if not (area > 0.0):
         raise ValueError("target area must be positive")
+    if eps is not None and inc._check_eps(eps) > 0.0:
+        res = _solve_full_plane(inc.regularize(model, eps), area, directions, samples)
+        return replace(res, eps_applied=float(eps))
     sc = inc.support_class(model)
     if sc.tag == "vertical_line":
         sol = graph_trajectory(model, area, n=samples)
@@ -456,11 +461,7 @@ def rate_of_area(
         return RateResult(float(area), cands, sol.rate, model)
     if sc.tag == "proper_subset":
         if eps is not None:
-            if eps <= 0.0:
-                raise NotFullPlaneError("a proper-subset model needs eps > 0")
-            reg = inc.regularize(model, eps)
-            res = _solve_full_plane(reg, area, directions, samples)
-            return replace(res, eps_applied=float(eps))
+            raise NotFullPlaneError("a proper-subset model needs eps > 0")
         if inc.is_centrally_symmetric(model):
             ladder = []
             res = None
@@ -471,9 +472,6 @@ def rate_of_area(
         raise NotFullPlaneError(
             "proper-subset support: pass eps > 0 to regularize (no symmetric ladder applies)"
         )
-    if eps is not None and eps > 0.0:
-        res = _solve_full_plane(inc.regularize(model, eps), area, directions, samples)
-        return replace(res, eps_applied=float(eps))
     return _solve_full_plane(model, area, directions, samples)
 
 
@@ -506,8 +504,8 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
 
     Solves |mu1| E'(u) = 4 * area for the unique positive u (E' is strictly
     increasing, so the decreasing -E' goes through the level-value solver),
-    builds the curve pair from the vertical cumulant, and evaluates the
-    shared energy by Gauss-Legendre quadrature of the conjugate identity
+    builds the curve pair on the dual paths (0, +-u (2t - 1)), and evaluates
+    the shared energy by Gauss-Legendre quadrature of the conjugate identity
     w K_y'(w) - K_y(w) over w in [-u, u].
     """
     if not (area > 0.0):
@@ -533,8 +531,8 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
         )
         pts = np.column_stack([mu1 * times, h2])
         pts[0] = 0.0
-        derivs = np.column_stack([np.full_like(times, mu1), inc.y_cumulant_d1(y, sign * w)])
-        return Trajectory(times, pts, derivs, energy=energy)
+        duals = np.column_stack([np.zeros_like(times), sign * w])
+        return Trajectory(times, pts, inc.cumulant_gradient(model, duals), duals, energy=energy)
 
     return GraphSolution(
         plus=curve(+1),

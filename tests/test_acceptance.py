@@ -211,7 +211,7 @@ def test_criterion_09_monte_carlo(iso, graph_pm1):
     enum_details = []
     for n, a in ((4, 0.2), (5, 0.15), (6, 0.2)):
         exact_rate = -math.log(exact_tail_probability(n, a * n * n)) / n
-        est = lh.estimate_ldp(graph_pm1, a, n, 30000, mode="tilted", seed=21, threads=1)
+        est = lh.estimate_ldp(graph_pm1, a, n, 30000, mode="tilted", seed=21)
         gap = abs(est.rate - exact_rate)
         enum_ok &= gap <= 3.0 * est.stderr
         enum_details.append(f"n={n}: gap={gap:.4f} vs 3se={3 * est.stderr:.4f}")
@@ -225,7 +225,7 @@ def test_criterion_09_monte_carlo(iso, graph_pm1):
     rates, errs = {}, {}
     for n in (20, 40, 80):
         vals = [
-            lh.estimate_ldp(iso, 0.3, n, 50000, mode="tilted", seed=300 + k, threads=1).rate
+            lh.estimate_ldp(iso, 0.3, n, 50000, mode="tilted", seed=300 + k).rate
             for k in range(6)
         ]
         rates[n] = float(np.mean(vals))

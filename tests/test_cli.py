@@ -64,6 +64,25 @@ def test_rate_out_of_range_exit_code(specs, capsys):
     assert err["error"]["a_max"] == pytest.approx(0.25, abs=0)
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_rate_rejects_bad_eps(specs, capsys, eps):
+    code = main(["rate", "--dist", specs["gauss_iso.json"], "--area", "1", f"--eps={eps}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: regularization strength")
+
+
+def test_regularized_graph_spec_solves(tmp_path):
+    # ray roots of this law sit between adjacent floats
+    spec = tmp_path / "pm1eps.json"
+    spec.write_text(json.dumps({"type": "graph1d", "mu1": 1, "eps": 0.01,
+                                "y": {"type": "atoms1d", "points": [1, -1], "probs": [0.5, 0.5]}}))
+    out = tmp_path / "rate.json"
+    assert main(["rate", "--dist", str(spec), "--area", "0.2", "--output", str(out)]) == 0
+    assert 0.0 < json.loads(out.read_text())["rate"] < 0.2925669542678975  # the graph rate
+    assert main(["levelset", "--dist", str(spec), "--alpha", "1",
+                 "--output", str(tmp_path / "level.csv")]) == 0
+
+
 def test_missing_dist_file_is_io_error(tmp_path, capsys):
     code = main(["rate", "--dist", str(tmp_path / "nope.json"), "--area", "1"])
     assert code == 1

@@ -253,9 +253,20 @@ def test_ray_radii_cold_and_warm(model, alpha, shift):
     warm = levelset._ray_radii(model, alpha, dirs, r0=factors * cold)
     assert np.all(np.abs(lh.cumulant(model, dirs * warm[:, None]) - alpha) <= tol)
     np.testing.assert_allclose(warm, cold, rtol=1e-9)
-    # no float meets a zero tolerance on every ray: the solve must raise, not return
-    with patch.object(levelset, "_RAY_TOL", 0.0), pytest.raises(NoConvergenceError):
+    # an exhausted round budget must raise, not return
+    with patch.object(inc, "_ROOT_ROUNDS", 3), pytest.raises(NoConvergenceError):
         levelset._ray_radii(model, alpha, dirs)
+
+
+def test_ray_roots_pinned_between_adjacent_floats():
+    # N((1, 0), 0.01 I): K = u1 + |u|^2/200; on some rays the residual at the
+    # two floats around the root is one ulp of the cancelling terms, above
+    # the ray tolerance
+    model = lh.gaussian([1.0, 0.0], 0.01 * np.eye(2))
+    v = levelset.trace_level(model, 1.0, 64).vertices[:-1]
+    r = np.linalg.norm(v, axis=1)
+    d1 = v[:, 0] / r
+    np.testing.assert_allclose(r, (np.sqrt(d1 * d1 + 0.02) - d1) / 0.01, rtol=1e-13)
 
 
 def test_ray_radius_against_the_drift(drift):

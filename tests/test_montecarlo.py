@@ -136,10 +136,10 @@ def test_hull_area_points_examples():
 
 
 def test_estimate_determinism_and_thread_invariance(iso):
-    a = lh.estimate_ldp(iso, 0.1, 12, 2000, mode="naive", seed=3, threads=1)
-    b = lh.estimate_ldp(iso, 0.1, 12, 2000, mode="naive", seed=3, threads=1)
-    c = lh.estimate_ldp(iso, 0.1, 12, 2000, mode="naive", seed=3, threads=4)
-    assert a == b == c
+    # walks run on one thread; the CLI's --threads is echoed only (test_cli)
+    a = lh.estimate_ldp(iso, 0.1, 12, 2000, mode="naive", seed=3)
+    b = lh.estimate_ldp(iso, 0.1, 12, 2000, mode="naive", seed=3)
+    assert a == b
 
 
 def test_zero_tilt_reduces_to_naive(iso):
@@ -147,7 +147,7 @@ def test_zero_tilt_reduces_to_naive(iso):
     # that a hand-built zero-tilt run of the per-walk reference reproduces it
     # stream for stream
     n, samples, seed = 10, 1500, 9
-    naive = lh.estimate_ldp(iso, 0.08, n, samples, mode="naive", seed=seed, threads=1)
+    naive = lh.estimate_ldp(iso, 0.08, n, samples, mode="naive", seed=seed)
     hits = 0
     contrib = np.zeros(samples)
     for j, (_, pts) in enumerate(reference_walks(iso, np.zeros((n, 2)), seed, samples)):
@@ -167,6 +167,23 @@ IDENTITY_LAWS = {
     "graph-pm1": (lh.graph1d(1.0, lh.atoms1d([1.0, -1.0], [0.5, 0.5])), 8, 0.2, 0.25),
     "graph-gaussian": (lh.graph1d(1.0, lh.gaussian1d(0.0, 1.0)), 10, 0.3, 0.25),
 }
+
+
+def inverted_tilts(model, area: float, n: int) -> np.ndarray:
+    """Tilts by inverting the cumulant gradient at the optimal velocities."""
+    result = lh.rate_of_area(model, area, samples=n)
+    derivs = result.candidates[0].trajectory.derivs[:-1]
+    if lh.support_class(result.model).tag == "full_plane":
+        return lh.legendre.rate_batch(result.model, derivs, return_maximizers=True)[1]
+    return np.column_stack([np.zeros(n), lh.rate_1d_gradient(result.model, derivs[:, 1])])
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_LAWS))
+def test_tilts_are_the_dual_path(name):
+    # the solver's dual path is the gradient inverse of its velocities
+    model, n, area, _ = IDENTITY_LAWS[name]
+    tilts = mc._optimal_tilts(model, area, n)
+    np.testing.assert_allclose(tilts, inverted_tilts(model, area, n), rtol=1e-10, atol=1e-10)
 
 
 @functools.cache
@@ -242,9 +259,9 @@ PINNED = [
     ("corr-drift-n30", lh.gaussian([0.3, 0], [[1, 0.2], [0.2, 1]]), 0.2, 30, 2000, "tilted", 12,
      1326, 0.3865181838111622),
     ("graph-pm1-n6", lh.graph1d(1, lh.atoms1d([1, -1], [0.5, 0.5])), 0.2, 6, 3000, "tilted", 13,
-     2103, 0.14911373321766153),
+     2103, 0.14911373321763546),
     ("square-eps1e-2-n20", lh.atoms([[2, 2], [-2, 2], [2, -2], [-2, -2]], [0.25] * 4, eps=0.01),
-     0.2, 20, 2000, "tilted", 14, 1750, 0.04469015067409572),
+     0.2, 20, 2000, "tilted", 14, 1750, 0.04469015067350015),
     ("graph-gauss-n15", lh.graph1d(1, lh.gaussian1d(0, 1)), 0.3, 15, 2000, "tilted", 15,
      1330, 0.5470674563489556),
     ("deep-tail-n300", lh.gaussian([0, 0], np.eye(2)), 1.0, 300, 300, "tilted", 7, 197, 3.103757460615349),
@@ -273,7 +290,7 @@ def test_log_mean_exp_below_exp_underflow():
 
 def test_deep_tail_estimate_keeps_its_hits(iso):
     # n J = 300 pi: every importance weight is below exp(-745)
-    est = lh.estimate_ldp(iso, 1.0, 300, 300, mode="tilted", seed=7, threads=1)
+    est = lh.estimate_ldp(iso, 1.0, 300, 300, mode="tilted", seed=7)
     assert est.hits > 0 and not est.zero_hits
     assert est.stderr is not None
     assert est.rate == pytest.approx(math.pi, rel=0.1)
@@ -285,7 +302,7 @@ def test_deep_tail_estimate_keeps_its_hits(iso):
 
 def test_zero_hits_reported_not_fatal(graph_pm1):
     # 0.3 n^2 exceeds the deterministic maximum hull area n^2/4 of this walk
-    est = lh.estimate_ldp(graph_pm1, 0.3, 10, 500, mode="naive", seed=1, threads=1)
+    est = lh.estimate_ldp(graph_pm1, 0.3, 10, 500, mode="naive", seed=1)
     assert est.zero_hits and est.hits == 0
     assert est.rate is None and est.stderr is None
     assert est.prob == 0.0 and est.log_prob == -math.inf
@@ -301,14 +318,14 @@ def test_tilted_estimate_matches_enumeration(graph_pm1, n, a):
     threshold = a * n * n
     exact = exact_tail_probability(n, threshold)
     exact_rate = -math.log(exact) / n
-    est = lh.estimate_ldp(graph_pm1, a, n, 30000, mode="tilted", seed=13, threads=1)
+    est = lh.estimate_ldp(graph_pm1, a, n, 30000, mode="tilted", seed=13)
     assert est.stderr is not None
     assert abs(est.rate - exact_rate) <= 3.0 * est.stderr
 
 
 def test_gaussian_tilted_estimate_reasonable(iso):
     # short pilot of the criterion-9 setup at reduced sample count
-    est = lh.estimate_ldp(iso, 0.3, 20, 8000, mode="tilted", seed=2, threads=1)
+    est = lh.estimate_ldp(iso, 0.3, 20, 8000, mode="tilted", seed=2)
     assert est.hits > 1000
     assert est.rate == pytest.approx(0.3 * math.pi, rel=0.15)
 

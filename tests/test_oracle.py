@@ -46,8 +46,8 @@ def test_minimize_small_area_returns_drift(drift):
 
 @pytest.mark.parametrize("law, area", [("iso", 1.0), ("drift", 1.0), ("square", 0.2)])
 def test_descent_inverts_only_its_start(law, area, request, monkeypatch):
-    # the descent carries dual points u and reads v = grad K(u): the rate's
-    # gradient inverse runs only on the starting curve of each sign
+    # the descent carries dual points u and reads v = grad K(u), from the
+    # linearized duals of the half circle: the rate's gradient inverse never runs
     if law == "square":
         model = lh.regularize(request.getfixturevalue("square_atoms"), 1e-2)
     else:
@@ -57,7 +57,7 @@ def test_descent_inverts_only_its_start(law, area, request, monkeypatch):
     monkeypatch.setattr(lh.legendre, "rate_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
     curve = lh.minimize_discrete(model, area, 16)
     assert abs(abs(curve.area) - area) <= 1e-6
-    assert len(calls) <= 2
+    assert calls == []
 
 
 def test_minimize_refinement_trend(iso):

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import ldp_hull as lh
+from ldp_hull import cli, solver
 from ldp_hull import increments as inc
-from ldp_hull import solver
 from ldp_hull.errors import (
     NoCandidateError,
     NoConvergenceError,
@@ -332,6 +333,60 @@ def test_candidates_meet_the_area_and_energy_identities(name):
         assert c.energy == pytest.approx(2.0 * area / mass - c.alpha, rel=1e-10)
 
 
+SQUARE_ATOMS = ([[2, 2], [-2, 2], [2, -2], [-2, -2]], [0.25] * 4)
+DUAL_PATH_LAWS = {
+    "drift": (lh.gaussian([1, 0], np.eye(2)), 1.0),
+    "triangle": (lh.atoms([[1, 1], [1, -1], [-1, 0]], [1 / 3] * 3), 0.2),
+    "square-eps1e-2": (lh.atoms(*SQUARE_ATOMS, eps=1e-2), 0.2),
+    "square-ladder": (lh.atoms(*SQUARE_ATOMS), 0.2),
+    "graph-gauss": (lh.graph1d(1, lh.gaussian1d(0, 1)), 0.2),
+    "graph-pm1": (lh.graph1d(1, lh.atoms1d([1, -1], [0.5, 0.5])), 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_PATH_LAWS))
+def test_trajectories_carry_their_dual_path(name):
+    # h' = grad K(u) along the dual path to the last bit, derived reverses included
+    model, a = DUAL_PATH_LAWS[name]
+    res = lh.rate_of_area(model, a)
+    for c in res.candidates:
+        traj = c.trajectory
+        assert traj.duals.shape == traj.derivs.shape
+        assert inc.cumulant_gradient(res.model, traj.duals).tobytes() == traj.derivs.tobytes()
+
+
+@pytest.mark.parametrize("var", [0.03, 0.01])
+@pytest.mark.parametrize("a", [0.05, 0.5])
+def test_small_variance_drift_matches_its_scaled_image(var, a):
+    # X ~ N((1, 0), var I) scaled by 1/sqrt(var) is N((1/sqrt(var), 0), I), and
+    # hull areas scale by 1/var; some of the first law's ray roots sit
+    # between adjacent floats
+    sd = math.sqrt(var)
+    got = lh.rate_of_area(lh.gaussian([1, 0], var * np.eye(2)), a).rate
+    ref = lh.rate_of_area(lh.gaussian([1 / sd, 0], np.eye(2)), a / var).rate
+    assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("law", ["graph_pm1", "graph_gauss"])
+def test_regularized_graph_rates_rise_to_the_graph_rate(law, request):
+    # K_eps >= K, so J_eps <= J, and J_eps rises as eps falls
+    model = request.getfixturevalue(law)
+    rates = [lh.rate_of_area(model, 0.2, eps=e).rate for e in (0.1, 0.01, 0.001)]
+    assert rates[0] < rates[1] < rates[2] <= lh.rate_of_area(model, 0.2).rate
+
+
+def test_eps_is_checked_and_applied_once(graph_pm1, iso, two_atoms):
+    res = lh.rate_of_area(graph_pm1, 0.2, eps=0.01)
+    ref = lh.rate_of_area(lh.regularize(graph_pm1, 0.01), 0.2)
+    assert res.eps_applied == 0.01 and res.model == ref.model
+    assert res.rate == ref.rate
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            lh.rate_of_area(iso, 0.5, eps=bad)
+    with pytest.raises(NotFullPlaneError):
+        lh.rate_of_area(two_atoms, 0.1, eps=0.0)
+
+
 def test_rate_of_area_no_candidate(triangle_atoms):
     # bounded support and a huge target area: no admissible level exists
     with pytest.raises((NoCandidateError, OutOfRangeError)):
@@ -396,23 +451,34 @@ def test_level_solve_matches_bisection(name):
             assert got == pytest.approx(ref, rel=1e-12, abs=0), target
 
 
-REPRO_OUT = Path(__file__).resolve().parent.parent / "repro" / "out"
+ROOT = Path(__file__).resolve().parent.parent
+REPRO_OUT = ROOT / "repro" / "out"
 
 
 @pytest.mark.parametrize("path", sorted(REPRO_OUT.glob("rate_*.json")), ids=lambda p: p.name)
-def test_repro_rates_reproduced(path):
+def test_repro_rates_reproduced(path, tmp_path, monkeypatch):
+    # rerun the recorded configuration on a copy of its distribution spec:
+    # the JSON and its trajectory CSVs come out byte for byte
     payload = json.loads(path.read_text())
     cfg = payload["config"]
-    model = lh.from_spec(json.loads((REPRO_OUT.parent.parent / cfg["dist"]).read_text()))
-    res = lh.rate_of_area(
-        model, cfg["area"], eps=cfg["eps"], directions=cfg["directions"], samples=cfg["samples"]
-    )
-    assert res.rate == pytest.approx(payload["rate"], rel=1e-10, abs=0)
+    (tmp_path / cfg["dist"]).parent.mkdir(parents=True)
+    shutil.copyfile(ROOT / cfg["dist"], tmp_path / cfg["dist"])
+    argv = [cfg["subcommand"], "--dist", cfg["dist"], "--area", repr(cfg["area"]),
+            "--directions", str(cfg["directions"]), "--samples", str(cfg["samples"]),
+            "--output", "out.json"]
+    for flag, key in (("--eps", "eps"), ("--threads", "threads"), ("--csv-dir", "csv_dir")):
+        if cfg.get(key) is not None:
+            argv += [flag, str(cfg[key])]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert (tmp_path / "out.json").read_bytes() == path.read_bytes()
+    for csv in payload.get("trajectory_csv", []):
+        assert (tmp_path / csv).read_bytes() == (ROOT / csv).read_bytes(), csv
 
 
 def _stub_candidate(energy, theta, tau):
     t = np.linspace(0.0, 1.0, 3)
-    traj = lh.Trajectory(t, np.zeros((3, 2)), np.zeros((3, 2)))
+    traj = lh.Trajectory(t, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
     return solver.Candidate(1.0, np.array([math.cos(theta), math.sin(theta)]), tau, traj, energy, tau)
 
 
