@@ -7,7 +7,7 @@ significant digits, so outputs are byte-identical across runs and thread
 counts for the same configuration and seed, and round-trip exactly.
 
 Exit codes: 0 on success; 2 on domain errors (a machine-readable JSON object
-on stderr); 1 on I/O or parse failures.
+on stderr); 1 on argument, I/O or parse failures (one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -261,8 +261,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # to main's one-line exit 1; subparsers inherit the class
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ldp-hull",
         description="Rate of convex-hull-area large deviations for planar random walks",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,

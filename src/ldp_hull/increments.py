@@ -174,6 +174,11 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
+def _check_area(area: float) -> None:
+    if not (0.0 < area < math.inf):
+        raise ValueError(f"target area must be positive and finite, got {area}")
+
+
 def _prepare(u):
     arr = np.asarray(u, dtype=float)
     if arr.shape[-1] != 2:

@@ -11,8 +11,9 @@ r(theta) the ray radius, d the direction and g = grad K(r d), the area is
 (1/2) int r^2 d theta and the coarea mass (the integral of 1/|grad K| in arc
 length, d area/d alpha) is int r/(d . g) d theta, as dr/d alpha = 1/(d . g).
 The integrands are smooth, so :func:`_quadrature` takes them on spectral
-rules: the periodic trapezoid rule on the whole level set, Gauss-Legendre on
-an arc.  Nodes are uniform in the whitened angle phi, d proportional to
+rules: the periodic trapezoid rule on the whole level set, Fejer's first rule
+(Chebyshev points, which also carry the equal-mass parametrization) on an
+arc.  Nodes are uniform in the whitened angle phi, d proportional to
 S (cos phi, sin phi) with S = Hess K(0)^{-1/2}, which spreads them evenly
 over an elongated level set.  The public functions double the node count
 until the values on n and 2n nodes agree to a relative tolerance and raise
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import increments as inc
 from .errors import NoConvergenceError, NotFullPlaneError
@@ -60,7 +60,8 @@ class LevelArc:
     ``ell * R_+`` (t = 0) to the one on ``ell * R_-`` (t = 1), and carry the
     equal-mass parametrization: the accumulated integral of 1/|grad K| in arc
     length up to g(t) equals t * mass, equivalently |g'(t)| equals
-    mass * |grad K(g(t))| with orientation ``tau``.
+    mass * |grad K(g(t))| with orientation ``tau``.  ``area`` is the half
+    area of {K <= alpha} on the arc's side, settled with ``mass`` on one rule.
     """
 
     alpha: float
@@ -70,6 +71,7 @@ class LevelArc:
     samples: np.ndarray
     derivs: np.ndarray
     mass: float
+    area: float
 
 
 def _check_args(model: inc.IncrementModel, alpha: float, what: str) -> None:
@@ -172,24 +174,22 @@ def _arc_dirs(model, ell: np.ndarray, tau: int, x: np.ndarray):
 
 
 @functools.lru_cache(maxsize=32)
-def _gauss_legendre(n: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]: the nodes are the
-    eigenvalues of the tridiagonal Jacobi matrix, the weights
-    2/((1 - x^2) P_n'(x)^2) by the Legendre recurrence, both O(n^2) (numpy's
-    dense construction costs O(n^3) and loses 1e-9 in the weights by n = 1024)."""
-    k = np.arange(1, n)
-    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
-    p0, p1 = np.ones(n), x
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    w = 2.0 * (1.0 - x * x) / (n * (x * p1 - p0)) ** 2
+def _fejer(n: int):
+    """Read-only Fejer (first rule) nodes and weights on [-1, 1]: the n
+    Chebyshev points of the first kind cos(pi (k + 1/2)/n), and the weights
+    that integrate T_j exactly for every j < n, one DCT-III of the moments
+    int T_j = 2/(1 - j^2) (even j; zero for odd j) (Waldvogel, BIT 46, 2006)."""
+    x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    moments = np.zeros(n)
+    moments[::2] = 2.0 / (1.0 - np.arange(0, n, 2) ** 2.0)
+    w = dct(moments, type=3) / n
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 def _arc_rule(model, ell: np.ndarray, tau: int, n: int):
-    """Gauss-Legendre rule, n nodes on one arc: (directions, d theta weights)."""
-    x, w = _gauss_legendre(n)
+    """Fejer rule, n nodes on one arc: (directions, d theta weights)."""
+    x, w = _fejer(n)
     dirs, jac = _arc_dirs(model, ell, tau, x)
     return dirs, w * jac
 
@@ -208,17 +208,17 @@ def _quadrature(model, alpha, rule, r0=None):
     return 0.5 * float(weights @ (r * r)), float(weights @ mass), r
 
 
-def _settled(model, alpha, rule_of, rtol: float) -> tuple[float, float, int]:
-    """(area, mass, n) on ``rule_of(n)`` for the first n, doubling from ``_N0``,
-    at which area and mass agree with those on n/2 nodes to ``rtol`` relative."""
+def _settled(model, alpha, rule_of, rtol: float):
+    """(area, mass, n, radii) on ``rule_of(n)`` for the first n, doubling from
+    ``_N0``, at which area and mass agree with those on n/2 nodes to ``rtol``."""
     n, prev = _N0, None
     while True:
-        vals = _quadrature(model, alpha, rule_of(n))[:2]
-        if prev is not None and np.allclose(vals, prev, rtol=rtol, atol=0.0):
-            return vals + (n,)
+        area, mass, r = _quadrature(model, alpha, rule_of(n))
+        if prev is not None and np.allclose((area, mass), prev, rtol=rtol, atol=0.0):
+            return area, mass, n, r
         if 2 * n > _N_CAP:
             raise NoConvergenceError(f"level-set quadrature unsettled at rtol={rtol:g}, {n} nodes")
-        prev, n = vals, 2 * n
+        prev, n = (area, mass), 2 * n
 
 
 def sublevel_area(model: inc.IncrementModel, alpha: float, rtol: float = _REFINE_RTOL) -> float:
@@ -227,20 +227,21 @@ def sublevel_area(model: inc.IncrementModel, alpha: float, rtol: float = _REFINE
     return _settled(model, alpha, lambda n: _ring_rule(model, n), rtol)[0]
 
 
-def _arc_area_mass(model, alpha, ell, tau, rtol, what) -> tuple[float, float]:
+def _arc_settled(model, alpha, ell, tau, rtol, what):
+    """(unit ell, tau, area, mass, n, radii): :func:`_settled` on the arc's rules."""
     _check_args(model, alpha, what)
     ell, tau = _unit(ell), _check_tau(tau)
-    return _settled(model, alpha, lambda n: _arc_rule(model, ell, tau, n), rtol)[:2]
+    return (ell, tau) + _settled(model, alpha, lambda n: _arc_rule(model, ell, tau, n), rtol)
 
 
 def half_area(model, alpha: float, ell, tau, rtol: float = _REFINE_RTOL) -> float:
     """Area of the part of {K <= alpha} on side ``tau`` of the line through ``ell``."""
-    return _arc_area_mass(model, alpha, ell, tau, rtol, "half_area")[0]
+    return _arc_settled(model, alpha, ell, tau, rtol, "half_area")[2]
 
 
 def arc_mass(model, alpha: float, ell, tau, rtol: float = _REFINE_RTOL) -> float:
     """Integral of 1/|grad K| in arc length over the selected level-set arc."""
-    return _arc_area_mass(model, alpha, ell, tau, rtol, "arc_mass")[1]
+    return _arc_settled(model, alpha, ell, tau, rtol, "arc_mass")[3]
 
 
 # d(half_area)/d(alpha) by the coarea identity is the arc mass itself, free of
@@ -258,32 +259,25 @@ def arc_parametrization(
 ) -> LevelArc:
     """Equal-mass arc parametrization with n + 1 samples.
 
-    The mass per unit whitened angle is interpolated at Chebyshev points,
-    their count doubling until the cumulative-mass series moves by at most
-    ``rtol`` times the mass; that series is inverted at the equal-mass
-    targets by safeguarded Newton, and each inverted angle is re-solved
-    exactly on the level set, so K(g(t)) = alpha holds to ray-solve accuracy
-    at every sample.  Derivatives are the exact tangents tau mass perp(grad K).
+    Area and mass settle to ``rtol`` as in :func:`half_area` and
+    :func:`arc_mass`.  The mass density at the settled rule's Chebyshev
+    points gives, by a DCT, the cumulative-mass series, inverted at the
+    equal-mass targets by safeguarded Newton; each inverted angle is re-solved
+    on the level set, so K(g(t)) = alpha holds to ray-solve accuracy at every
+    sample.  Derivatives are the exact tangents tau mass perp(grad K).
     """
-    _check_args(model, alpha, "arc_parametrization")
-    ell, tau = _unit(ell), _check_tau(tau)
     if n < 2:
         raise ValueError("need at least 2 segments")
-    times = np.linspace(0.0, 1.0, n + 1)
+    ell, tau, area, mass, deg, r = _arc_settled(model, alpha, ell, tau, rtol, "arc_parametrization")
+    dirs, jac = _arc_dirs(model, ell, tau, _fejer(deg)[0])
     cheb = np.polynomial.chebyshev
-    deg, prev = _N0, None
-    while True:
-        # interpolant at the deg Chebyshev points of the first kind, by a DCT
-        dirs, jac = _arc_dirs(model, ell, tau, np.cos(np.pi * (np.arange(deg) + 0.5) / deg))
-        coef = dct(jac * _mass_density(model, alpha, dirs)[1], type=2) / deg
-        coef[0] *= 0.5
-        cum = cheb.chebint(coef, lbnd=-1.0)
-        mass = float(cheb.chebval(1.0, cum))
-        if prev is not None and np.sum(np.abs(cheb.chebsub(cum, prev))) <= rtol * mass:
-            break
-        if 2 * deg > _N_CAP:
-            raise NoConvergenceError(f"arc mass interpolant unsettled at rtol={rtol:g}, {deg} nodes")
-        prev, deg = cum, 2 * deg
+    coef = dct(jac * _mass_density(model, alpha, dirs, r)[1], type=2) / deg
+    coef[0] *= 0.5
+    # a tail below 1e-14 mass moves no sample (the inversion stops at 1e-12 mass)
+    tail = np.cumsum(np.abs(coef[::-1]))[::-1]
+    coef = coef[: np.count_nonzero(tail > 1e-2 * _INVERSE_TOL * mass)]
+    cum = cheb.chebint(coef, lbnd=-1.0)
+    times = np.linspace(0.0, 1.0, n + 1)
     inner = inc._increasing_root(
         lambda x: (cheb.chebval(x, cum) - mass * times[1:-1], cheb.chebval(x, coef)),
         2.0 * times[1:-1] - 1.0, -1.0, 1.0, _INVERSE_TOL * mass,
@@ -291,4 +285,4 @@ def arc_parametrization(
     sdirs = _arc_dirs(model, ell, tau, np.concatenate([[-1.0], inner, [1.0]]))[0]
     samples = sdirs * _ray_radii(model, alpha, sdirs)[:, None]
     derivs = tau * mass * _perp(inc.cumulant_gradient(model, samples))
-    return LevelArc(float(alpha), ell, tau, times, samples, derivs, mass)
+    return LevelArc(float(alpha), ell, tau, times, samples, derivs, mass, area)

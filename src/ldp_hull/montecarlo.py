@@ -245,6 +245,7 @@ def estimate_ldp(
     """
     if mode not in ("naive", "tilted"):
         raise ValueError("mode must be 'naive' or 'tilted'")
+    inc._check_area(area)
     if n < 1:
         raise ValueError(f"need at least one step, got {n}")
     if samples < _BATCHES:

@@ -154,8 +154,7 @@ def minimize_discrete(
     """
     if inc.support_class(model).tag != "full_plane":
         raise NotFullPlaneError("minimize_discrete needs a full-plane support class")
-    if not (area > 0.0):
-        raise ValueError("target area must be positive")
+    inc._check_area(area)
     if n < 8:
         raise ValueError("need at least 8 segments")
     for name, tol in (("feas_tol", feas_tol), ("stat_tol", stat_tol)):

@@ -229,8 +229,7 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
     and a bracketed root finder applies.  The slope is evaluated through the
     coarea identity (full-level arc mass over twice the root area).
     """
-    if not (area > 0.0):
-        raise ValueError("target area must be positive")
+    inc._check_area(area)
     _check_args(model, 1.0, "symmetric_level")
     if not inc.is_centrally_symmetric(model):
         raise NotSymmetricError("symmetric_level needs a centrally symmetric law")
@@ -312,16 +311,14 @@ def _dedup_angles(roots, tol=1e-9):
 # Trajectories
 
 def _build(model, alpha, ell, tau, n) -> tuple[Trajectory, float]:
-    arc = arc_parametrization(model, alpha, ell, tau, n)
+    arc = arc_parametrization(model, alpha, ell, tau, n, rtol=_settle_rtol(alpha))
     pts = -(1.0 / (arc.tau * arc.mass)) * _perp(arc.samples - arc.samples[0])
     pts[0] = 0.0
     derivs = inc.cumulant_gradient(model, arc.samples)
     # the energy integral of (u . grad K - alpha)/|grad K| in arc length is
     # 2 area - alpha mass (u . grad K/|grad K| is the support function)
-    rule_of = lambda m: _arc_rule(model, arc.ell, arc.tau, m)
-    area, mass, _ = _settled(model, alpha, rule_of, _settle_rtol(alpha))
-    traj = Trajectory(arc.times, pts, derivs, arc.samples, energy=2.0 * area / mass - alpha)
-    return traj, arc.mass
+    energy = 2.0 * arc.area / arc.mass - alpha
+    return Trajectory(arc.times, pts, derivs, arc.samples, energy=energy), arc.mass
 
 
 def build_trajectory(
@@ -332,9 +329,9 @@ def build_trajectory(
 
     h(0) = 0, h'(t) = grad K(g(t)) exactly (a quarter-turn of the arc
     tangent), and the hull area equals half_area/mass^2.  The stored energy is
-    2 half_area/mass - alpha, with both settled on doubling Gauss-Legendre
-    rules: the arc-length integral of the conjugate identity
-    (u . grad K(u) - alpha) along the arc, divided by the mass.
+    2 half_area/mass - alpha, from the one settle of the arc parametrization:
+    the arc-length integral of the conjugate identity (u . grad K(u) - alpha)
+    along the arc, divided by the mass.
     """
     return _build(model, alpha, _unit(ell), tau, n)[0]
 
@@ -444,8 +441,7 @@ def rate_of_area(
     proper-subset models without an explicit eps go through the built-in
     ladder eps in {1e-1, 1e-2, 1e-3}, whose rungs are reported on the result.
     """
-    if not (area > 0.0):
-        raise ValueError("target area must be positive")
+    inc._check_area(area)
     if eps is not None and inc._check_eps(eps) > 0.0:
         res = _solve_full_plane(inc.regularize(model, eps), area, directions, samples)
         return replace(res, eps_applied=float(eps))
@@ -508,8 +504,7 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     the shared energy by Gauss-Legendre quadrature of the conjugate identity
     w K_y'(w) - K_y(w) over w in [-u, u].
     """
-    if not (area > 0.0):
-        raise ValueError("target area must be positive")
+    inc._check_area(area)
     y = legendre._y_model(model)
     mu1 = model.kind.mu1
     a_max = _graph_a_max(mu1, y)

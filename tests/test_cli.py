@@ -171,6 +171,41 @@ def test_simulate_without_steps_is_one_line_error(specs, capsys, mode, steps):
     assert err.startswith("error:") and "step" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("sub", ["rate", "trajectory", "oracle", "simulate-naive", "simulate-tilted"])
+@pytest.mark.parametrize("area", ["0", "-1", "nan", "inf"])
+def test_non_positive_or_non_finite_area_is_one_line_error(specs, capsys, tmp_path, sub, area):
+    # every entry point refuses the area before any solve or walk runs
+    args = {
+        "rate": ["rate"],
+        "trajectory": ["trajectory", "--csv-dir", str(tmp_path / "csv")],
+        "oracle": ["oracle", "--segments", "16"],
+        "simulate-naive": ["simulate", "--steps", "8", "--samples", "100", "--mode", "naive"],
+        "simulate-tilted": ["simulate", "--steps", "8", "--samples", "100", "--mode", "tilted"],
+    }[sub]
+    assert main(args + ["--dist", specs["gauss_iso.json"], f"--area={area}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "area" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [(["--area", "abc"], "--area"), ([], "--area")],
+    ids=["non-numeric-area", "missing-area"],
+)
+def test_argument_errors_are_one_line_exit_1(specs, capsys, args, flag):
+    # parser errors take the documented exit 1, with no usage block
+    assert main(["rate", "--dist", specs["gauss_iso.json"], *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--help"])
+    assert exc.value.code == 0
+    assert "--area" in capsys.readouterr().out
+
+
 def test_simulate_byte_identical_across_runs_and_threads(specs):
     args = ["simulate", "--dist", specs["gauss_iso.json"], "--area", "0.1", "--steps", "10",
             "--samples", "2000", "--mode", "naive", "--seed", "4"]

@@ -157,6 +157,33 @@ def test_refinement_cap_raises(triangle_atoms, monkeypatch):
     assert lh.sublevel_area(triangle_atoms, 0.5, rtol=1e-4) == pytest.approx(ref, rel=1e-4)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 8192])
+def test_fejer_rule_integrates_chebyshev_polynomials(n):
+    # Fejer's first rule is interpolatory on the n Chebyshev points: exact for
+    # every T_j with j < n, whose integral is 2/(1 - j^2) for even j, 0 for odd j
+    x, w = levelset._fejer(n)
+    assert np.all(w > 0.0)
+    assert w.sum() == pytest.approx(2.0, abs=1e-14)
+    odd = 2 * np.arange(n) + 1
+    np.testing.assert_allclose(x, np.cos(np.pi * odd / (2 * n)), rtol=0, atol=1e-15)
+    for j0 in range(0, n, 512):
+        j = np.arange(j0, min(n, j0 + 512))
+        exact = np.zeros(len(j))
+        even = j % 2 == 0
+        exact[even] = 2.0 / (1.0 - j[even] ** 2.0)
+        # T_j(x_k) = cos(pi j (2k + 1)/(2n)), the angle reduced exactly mod 2 pi
+        T = np.cos(np.pi / (2 * n) * (np.outer(j, odd) % (4 * n)))
+        np.testing.assert_allclose(T @ w, exact, rtol=0, atol=1e-14)
+
+
+def test_arc_parametrization_carries_the_settled_area_and_mass(drift):
+    # the arc's mass and area are those of arc_mass and half_area at its rtol
+    ell, tau = [0.0, 1.0], -1
+    arc = lh.arc_parametrization(drift, 1.5, ell, tau, n=64, rtol=1e-12)
+    assert arc.mass == lh.arc_mass(drift, 1.5, ell, tau, rtol=1e-12)
+    assert arc.area == lh.half_area(drift, 1.5, ell, tau, rtol=1e-12)
+
+
 def test_arc_parametrization_circle(iso):
     arc = lh.arc_parametrization(iso, 0.5, [1.0, 0.0], +1, n=256)
     np.testing.assert_allclose(arc.samples[0], [1.0, 0.0], atol=1e-12)

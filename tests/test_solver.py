@@ -134,6 +134,40 @@ def test_rate_of_area_drifted_candidates(drift):
         assert lh.hull_area(c.trajectory.points) == pytest.approx(res.area, rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "law, a, rel",
+    [("drift", 1e-5, 1e-5), ("drift", 1e-6, 1e-3), ("triangle_atoms", 1e-6, 1e-3)],
+    ids=["drift-a1e-5", "drift-a1e-6", "triangle-a1e-6"],
+)
+def test_rate_of_area_at_tiny_areas(request, law, a, rel):
+    # J(a) ~ 6 a^2/(|mu|^2 var_perp) as a -> 0: 6 a^2 for N((1, 0), I), and 81 a^2
+    # for the triangle law (mu = (1/3, 0), var_perp = 2/3); the drifted law also
+    # has its closed form.  The ray tolerance, absolute in the level, bounds the
+    # accuracy here
+    model = request.getfixturevalue(law)
+    ref = drift_rate_reference(a) if law == "drift" else 81.0 * a * a
+    assert lh.rate_of_area(model, a).rate == pytest.approx(ref, rel=rel)
+
+
+@pytest.mark.parametrize("law, a", [("drift", 1.0), ("triangle_atoms", 0.2), ("iso", 1.0)])
+def test_one_mass_per_solved_arc(request, law, a):
+    # the multiplier, the trajectory scale and the energy 2A/M - alpha come from
+    # one settle of the arc's area A and mass M; a reverse traversal carries its
+    # solved partner's values (ell in the lower half-plane, or both arcs of a
+    # centrally symmetric law, are the solved ones)
+    model = request.getfixturevalue(law)
+    res = lh.rate_of_area(model, a)
+    symmetric = lh.is_centrally_symmetric(model)
+    solved = [c for c in res.candidates if symmetric or c.ell[1] < 0.0]
+    assert solved
+    for c in solved:
+        rtol = solver._settle_rtol(c.alpha)
+        mass = lh.arc_mass(model, c.alpha, c.ell, c.tau, rtol=rtol)
+        area = lh.half_area(model, c.alpha, c.ell, c.tau, rtol=rtol)
+        assert c.multiplier == c.tau * mass
+        assert c.energy == 2.0 * area / mass - c.alpha
+
+
 def test_rate_monotone_in_area(drift):
     rates = [lh.rate_of_area(drift, a).rate for a in (0.3, 0.6, 1.0, 1.5)]
     assert all(x < y for x, y in zip(rates, rates[1:]))
