@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import increments as inc
 from . import legendre
@@ -71,6 +70,8 @@ __all__ = [
 
 _GROW = 16.0  # bracket expansion factor: a no-root exit costs about 12 evaluations
 _ROOT_RTOL = 1e-13
+_BRENT_MAXITER = 100
+_EPS = float(np.finfo(float).eps)
 _SETTLE_RTOL = 1e-12
 _ANGLE_XTOL = 1e-15
 _ALPHA_HI_CAP = 1e12
@@ -182,14 +183,57 @@ def _solve_level(model, rule_of, target: float):
         n = settled_n
 
 
-def _root(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> float:
-    """Root of fn on [lo, hi] to ``xtol`` + ``_ROOT_RTOL`` relative, by Brent's method (1973).
+def _brent(f, xa, xb, fa, fb, xtol: float, rtol: float) -> float:
+    """Root of f on [xa, xb] from fa = f(xa), fb = f(xb) of opposite signs (or zero) by
+    Brent's method (1973, ch. 4) step for step as scipy's ``brentq``: done once half the
+    bracket is below (xtol + rtol |x|)/2; NoConvergenceError after ``_BRENT_MAXITER`` rounds."""
+    if not xtol > 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if not rtol >= 4.0 * _EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * _EPS:g})")
+    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a good short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:  # a division by an underflowed 0 bisects, as its inf or nan does in C
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"f({xcur!r}) is NaN")
+    raise NoConvergenceError(f"Brent's method: no root in {_BRENT_MAXITER} iterations, x={xcur!r}")
 
-    ``f_lo`` and ``f_hi``, fn at the ends (opposite signs or zero), are not evaluated again.
-    """
-    known = {lo: f_lo, hi: f_hi}
-    cached_fn = lambda x: known.pop(x) if x in known else fn(x)
-    return brentq(cached_fn, lo, hi, xtol=xtol, rtol=_ROOT_RTOL)
+
+def _root(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> float:
+    """:func:`_brent` to ``xtol`` + ``_ROOT_RTOL`` relative; f_lo, f_hi are fn at lo, hi."""
+    return _brent(fn, lo, hi, f_lo, f_hi, xtol, _ROOT_RTOL)
 
 
 def _solve_decreasing(fn, target: float):
@@ -402,7 +446,7 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
         ell = np.array([1.0, 0.0])
         cands = [_candidate(model, alpha, ell, tau, n) for tau in (+1, -1)]
     else:
-        seed_alpha, _cap = _solve_level(
+        seed_alpha, cap = _solve_level(
             model, lambda n: _ring_rule(model, n), 1.0 / math.sqrt(2.0 * area)
         )
         if seed_alpha is None:
@@ -418,10 +462,10 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
             ):
                 cands += [cand, _reversed(cand)]
         if not cands:
-            raise NoCandidateError(
-                "no admissible (level, direction, orientation) triple: "
-                "the target area is at or beyond the attainable range"
-            )
+            raise NoCandidateError("no admissible (level, direction, orientation) triple: " + (
+                "no seeded arc has a level root with a chord at the target area" if cap is None
+                else "the whole level set reaches the target area at no level: it may be at or "
+                "beyond the attainable range"))
     return RateResult(float(area), _ordered(cands), min(c.energy for c in cands), model)
 
 

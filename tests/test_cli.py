@@ -34,16 +34,38 @@ def specs(tmp_path):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(args):
+def run_python(args):
     # the child needs the checkout's src/ on its path when the package is not installed
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "ldp_hull.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(args):
+    return run_python(["-m", "ldp_hull.cli", *args])
+
+
+def test_cli_never_loads_scipy(specs, tmp_path):
+    # numpy is the only runtime dependency; a lazy scipy import would bring
+    # back the start-up cost, so a Gaussian and an atom law solve without it
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(json.dumps(
+        {"type": "atoms", "points": [[1, 1], [1, -1], [-1, 0]], "probs": [1 / 3, 1 / 3, 1 / 3], "eps": 0}
+    ))
+    code, out, err = run_python(["-c", f"""
+import sys
+from ldp_hull import cli
+for spec in {[specs["gauss_drift.json"], str(triangle)]!r}:
+    assert cli.main(["rate", "--dist", spec, "--area", "0.2"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""])
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_rate_isotropic(specs, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 
 import ldp_hull as lh
 from ldp_hull import increments as inc
@@ -155,6 +156,18 @@ def test_refinement_cap_raises(triangle_atoms, monkeypatch):
         lh.arc_parametrization(triangle_atoms, 0.5, [1.0, 0.0], +1, n=64, rtol=1e-15)
     # below the cap the same calls settle
     assert lh.sublevel_area(triangle_atoms, 0.5, rtol=1e-4) == pytest.approx(ref, rel=1e-4)
+
+
+@pytest.mark.parametrize("kind", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 33, 1024, 8192])
+def test_dct_matches_scipy(n, kind):
+    # unnormalized DCT-II and DCT-III in scipy's convention, odd n included;
+    # inputs are Gaussian noise and the Fejer moments the rule transforms
+    moments = np.zeros(n)
+    moments[::2] = 2.0 / (1.0 - np.arange(0, n, 2) ** 2.0)
+    for x in (np.random.default_rng(n).standard_normal(n), moments):
+        ref = dct(x, type=kind)
+        assert np.max(np.abs(levelset._dct(x, kind) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 32, 8192])

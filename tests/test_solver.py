@@ -427,6 +427,17 @@ def test_rate_of_area_no_candidate(triangle_atoms):
         lh.rate_of_area(triangle_atoms, 50.0)
 
 
+def test_no_candidate_in_range_does_not_claim_the_range(drift, triangle_atoms, monkeypatch):
+    # the seed ring solve has a root at a = 0.5, so the range is not the reason
+    with pytest.raises(NoCandidateError, match="at or beyond the attainable range"):
+        lh.rate_of_area(triangle_atoms, 50.0)
+    monkeypatch.setattr(solver, "_solve_candidate", lambda *args: None)
+    with pytest.raises(NoCandidateError) as info:
+        lh.rate_of_area(drift, 0.5)
+    assert "attainable range" not in str(info.value)
+    assert "no seeded arc" in str(info.value)
+
+
 def test_rate_of_area_rejects_bad_area(iso):
     with pytest.raises(ValueError):
         lh.rate_of_area(iso, 0.0)
@@ -555,3 +566,65 @@ def test_seeds_settling_on_one_arc_list_it_once(drift, monkeypatch):
     assert res.candidates[0] is arc
     np.testing.assert_array_equal(res.candidates[1].ell, -arc.ell)
     assert res.candidates[1].multiplier == -arc.multiplier
+
+
+_BRENT_FUNCTIONS = {
+    "cubic": lambda x: x ** 3 - 2.0 * x - 5.0,
+    "cos": lambda x: math.cos(x) - x,
+    "exp": lambda x: math.exp(x) - 10.0,
+    "log": lambda x: math.log(x) + 0.5,
+    "steep": lambda x: math.atan(1e6 * (x - 0.3)),
+    "three_roots": lambda x: (x - 1e-3) * (x + 2.0) * (x - 2.5),
+    "linear": lambda x: 3.0 * x - 1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRENT_FUNCTIONS))
+def test_brent_matches_brentq_bit_for_bit(name):
+    # same evaluation points and the same root, to the last bit; brentq
+    # evaluates the bracket ends first, which _brent is handed instead
+    f = _BRENT_FUNCTIONS[name]
+    tolerances = [(1e-12, 1e-13), (2e-12, 8.9e-16), (1e-15, 1e-13), (1e-3, 1e-6),
+                  (1e-300, 4 * np.finfo(float).eps)]
+    cases = 0
+    for a, b in [(0.01, 3.0), (1e-6, 1.0), (0.2, 2.5), (1e-4, 5.0)]:
+        if f(a) * f(b) > 0.0:
+            continue
+        for xtol, rtol in tolerances:
+            ref_x, got_x = [], []
+            ref = brentq(lambda x: ref_x.append(x) or f(x), a, b, xtol=xtol, rtol=rtol)
+            got = solver._brent(lambda x: got_x.append(x) or f(x), a, b, f(a), f(b), xtol, rtol)
+            assert got == ref and got_x == ref_x[2:], (a, b, xtol, rtol)
+            cases += 1
+    assert cases >= 10
+
+
+def test_brent_checks_its_inputs_and_its_cap():
+    f = _BRENT_FUNCTIONS["cubic"]
+    assert solver._brent(f, 2.0, 3.0, 0.0, f(3.0), 1e-12, 1e-13) == 2.0
+    with pytest.raises(ValueError, match="xtol"):
+        solver._brent(f, 1.0, 3.0, f(1.0), f(3.0), 0.0, 1e-13)
+    with pytest.raises(ValueError, match="rtol"):
+        solver._brent(f, 1.0, 3.0, f(1.0), f(3.0), 1e-12, 1e-16)
+    with pytest.raises(ValueError, match="signs"):
+        solver._brent(f, 3.0, 4.0, f(3.0), f(4.0), 1e-12, 1e-13)
+    with pytest.raises(ValueError, match="NaN"):
+        solver._brent(lambda x: math.nan, 1.0, 3.0, f(1.0), f(3.0), 1e-12, 1e-13)
+    # a fifth-order root takes brentq past its 100 iterations too
+    flat = lambda x: (x - 0.7) ** 5
+    with pytest.raises(RuntimeError):
+        brentq(flat, 0.01, 3.0, xtol=1e-12, rtol=1e-13)
+    with pytest.raises(NoConvergenceError):
+        solver._brent(flat, 0.01, 3.0, flat(0.01), flat(3.0), 1e-12, 1e-13)
+
+
+def test_root_cap_raises_no_convergence(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_BRENT_MAXITER", 2)
+    f = _BRENT_FUNCTIONS["cos"]
+    with pytest.raises(NoConvergenceError):
+        solver._root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+    # through the CLI it is exit 2 with a JSON error, not a traceback
+    spec = tmp_path / "gauss_iso.json"
+    spec.write_text(json.dumps({"type": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]], "eps": 0}))
+    assert cli.main(["rate", "--dist", str(spec), "--area", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "no_convergence"
