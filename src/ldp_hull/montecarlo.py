@@ -15,11 +15,12 @@ that stream, so results are reproducible and independent of the order walks
 run in.  Walks run in blocks of about 2048 points: each walk writes its raw
 draws into a block row (one bit generator, re-keyed per walk), and one
 transform and one cumulative sum serve the block.  Support polygons in 32
-fixed directions bracket each hull area, widened by a rounding margin
-(``polyline._hull_area_bounds``); only walks whose bracket straddles the
-threshold get an exact hull, so the hit set, the weights and every output are
-those of a walk-by-walk loop.  Estimator reductions use exactly-rounded
-summation, hence are order-insensitive.
+fixed directions bracket each hull area, widened by a rounding margin, then
+polygons in 128 directions the walks left in doubt; only walks whose brackets
+both straddle the threshold get an exact hull (``polyline._hull_areas_reach``),
+and one batched product weights the block's hits, so the hit set, the weights
+and every output are those of a walk-by-walk loop.  Estimator reductions use
+exactly-rounded summation, hence are order-insensitive.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import increments as inc
 from . import solver
 # convex_hull_vertices stays bound here: the benchmark's span tracing wraps it
-from .polyline import _hull_area_bounds, convex_hull_vertices, hull_area  # noqa: F401
+from .polyline import _hull_areas_reach, convex_hull_vertices, hull_area  # noqa: F401
 
 __all__ = ["WalkSample", "LdpEstimate", "simulate_walk", "hull_area_points", "estimate_ldp"]
 
@@ -54,7 +55,10 @@ class WalkSample:
 @dataclass
 class LdpEstimate:
     """``prob`` underflows to 0.0 once n * rate passes about 745; ``log_prob``
-    (-inf without hits) does not."""
+    (-inf without hits) does not.  Importance-sampling health: ``ess`` is the
+    effective sample size (sum w)^2 / sum w^2 of the hits' weights w (the hit
+    count in naive mode), ``max_weight_share`` the largest weight over sum w;
+    both are 0 without hits."""
 
     rate: float | None
     stderr: float | None
@@ -64,6 +68,8 @@ class LdpEstimate:
     zero_hits: bool
     prob: float
     log_prob: float
+    ess: float = 0.0
+    max_weight_share: float = 0.0
 
 
 _BLOCK_POINTS = 2048  # walk points per block: bounds the block arrays, whatever n is
@@ -79,9 +85,9 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
 def _atom_draw(points: np.ndarray, logits: np.ndarray):
     """Map from uniforms V (B, n) to atoms, step i drawn with the masses
     softmax(logits[i]); the atom index is an exact count of cumulative masses
-    below V."""
+    below V.  The last one is left out: it can round below 1, and below V."""
     _, probs = inc._logsumexp(logits)
-    cum = np.cumsum(probs, axis=1)
+    cum = np.cumsum(probs, axis=1)[:, :-1]
     return lambda V: points[np.sum(cum < V[..., None], axis=-1)]
 
 
@@ -217,10 +223,8 @@ def _hit_log_weights(
     log_norm = math.fsum(inc.cumulant(model, tilts))  # sum of K(u_i)
     log_w = np.full(samples, -math.inf)
     for start, X, P in _walk_blocks(model, tilts, seed, samples):
-        lower, upper = _hull_area_bounds(P)
-        for b in np.flatnonzero(~(upper < threshold)):  # NaN areas go to the exact hull
-            if lower[b] >= threshold or hull_area_points(P[b]) >= threshold:
-                log_w[start + b] = log_norm - float(np.einsum("ij,ij->", tilts, X[b]))
+        rows = np.flatnonzero(_hull_areas_reach(P, threshold))
+        log_w[start + rows] = log_norm - np.einsum("bij,ij->b", X[rows], tilts)
     return log_w
 
 
@@ -258,6 +262,8 @@ def estimate_ldp(
     if hits == 0:
         return LdpEstimate(None, None, hits, samples, mode, True, 0.0, -math.inf)
     log_prob = _log_mean_exp(log_w, samples)
+    w = np.exp(log_w - log_w.max())  # the largest weight is 1
+    total = math.fsum(w)
 
     edges = np.linspace(0, samples, _BATCHES + 1).astype(int)
     batch_log_probs = [_log_mean_exp(log_w[a:b], b - a) for a, b in zip(edges[:-1], edges[1:])]
@@ -266,4 +272,5 @@ def estimate_ldp(
         stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(_BATCHES))
     else:
         stderr = None
-    return LdpEstimate(-log_prob / n, stderr, hits, samples, mode, False, math.exp(log_prob), log_prob)
+    return LdpEstimate(-log_prob / n, stderr, hits, samples, mode, False, math.exp(log_prob), log_prob,
+                       total * total / math.fsum(w * w), 1.0 / total)

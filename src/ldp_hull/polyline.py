@@ -110,46 +110,56 @@ def _polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(_cross(vertices, np.roll(vertices, -1, axis=0))))
 
 
-# Support directions of the hull-area bounds, at angles 2 pi k / K, and the
-# coefficients that give the corner where support lines k and k + 1 meet:
-# h_k * _CORNER_A[k] + h_{k+1} * _CORNER_B[k].
-_SUPPORT_K = 32
-_SUPPORT_ANGLES = _TWO_PI * np.arange(_SUPPORT_K) / _SUPPORT_K
-_SUPPORT_DIRS = np.column_stack([np.cos(_SUPPORT_ANGLES), np.sin(_SUPPORT_ANGLES)])
-_CORNER_A = -_perp(np.roll(_SUPPORT_DIRS, -1, axis=0)) / np.sin(_TWO_PI / _SUPPORT_K)
-_CORNER_B = _perp(_SUPPORT_DIRS) / np.sin(_TWO_PI / _SUPPORT_K)
+def _support_frame(k: int) -> tuple[np.ndarray, float, float]:
+    """Support directions at angles 2 pi i / k, and the coefficients
+    tan(pi / k) and 1 / (2 sin(2 pi / k)) of the outer area (see below)."""
+    angles = _TWO_PI * np.arange(k) / k
+    return np.column_stack([np.cos(angles), np.sin(angles)]), np.tan(np.pi / k), 0.5 / np.sin(_TWO_PI / k)
 
 
-def _hull_area_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_SUPPORT_FRAMES = {k: _support_frame(k) for k in (32, 128)}  # the tiers of _hull_areas_reach
+
+
+def _hull_area_bounds(points: np.ndarray, k: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``lower <= hull_area(points[b]) <= upper`` on a (B, m, 2) stack.
 
     They hold for the floating-point value that :func:`hull_area` returns,
-    not only for the exact area.  The points extreme in K fixed directions,
-    taken in direction order, span a polygon inside the hull (the lower
-    bound); the K support lines cut out a polygon around it (the upper bound).
+    not only for the exact area.  The points extreme in ``k`` fixed
+    directions (32 or 128), taken in direction order, span a polygon inside
+    the hull (the lower bound).  The k support lines x . d_i = h_i cut out a
+    polygon around it whose edge on line i has length
+    L_i = (h_{i-1} + h_{i+1} - 2 h_i cos t) / sin t, t = 2 pi / k, so its area
+    sum h_i L_i / 2 is tan(t / 2) sum h_i^2 - sum (h_{i+1} - h_i)^2 / (2 sin t)
+    (the upper bound).
     """
     pts = np.asarray(points, dtype=float)
-    m = pts.shape[1]
-    dots = _SUPPORT_DIRS @ pts.transpose(0, 2, 1)  # (B, K, m): argmax over contiguous rows
-    top = np.argmax(dots, axis=2)[..., None]
-    h = np.take_along_axis(dots, top, axis=2)[..., 0]
-    inner = np.take_along_axis(pts, top, axis=1)
-    outer = h[..., None] * _CORNER_A + np.roll(h, -1, axis=1)[..., None] * _CORNER_B
-    lower = 0.5 * np.sum(_cross(inner, np.roll(inner, -1, axis=1)), axis=1)
-    upper = 0.5 * np.sum(_cross(outer, np.roll(outer, -1, axis=1)), axis=1)
-    # Rounding margin, with u = 2^-53 and R the largest |p|.  Every polygon
-    # here lies in the disk of radius R (the outer one in its circumscribed
-    # K-gon), and sum |cross(v_i, v_i+1)| <= 4 pi R^2 on a convex polygon, so
-    # a shoelace over m vertices rounds by at most ~17 m u R^2 (4 u R^2 per
-    # cross product, (m - 1) u of the absolute sum).  hull_area's monotone
-    # chain may misjudge an orientation only on a triangle of area
-    # <= 16 u R^2 (differences up to 2R), at most 2 m times: with its
-    # shoelace, at most ~41 m u R^2.  The support values round by <= 3 u R.
-    # A near-tie argmax keeps the inner polygon inside the hull unless it
-    # reverses two points, which must then lie within ~31 u R of each other
-    # (6 u R / sin(2 pi / K)); a support line moves by 3 u R.  So each bound
-    # is off by at most ~60 K u R^2, and the margin is 64 (m + K) u R^2.
-    slack = 64 * (m + _SUPPORT_K) * 2.0 ** -53 * np.max(np.sum(pts * pts, axis=2), axis=1)
+    B, m, _ = pts.shape
+    dirs, tan_half, half_csc = _SUPPORT_FRAMES[k]
+    dots = dirs @ pts.transpose(0, 2, 1)  # (B, k, m): argmax over contiguous rows
+    top = np.argmax(dots, axis=2) + m * np.arange(B)[:, None]  # flat point index
+    h = dots.reshape(-1)[top + (m * (k - 1)) * np.arange(B)[:, None] + m * np.arange(k)]
+    x, y = pts.reshape(-1)[2 * top], pts.reshape(-1)[2 * top + 1]
+    cross = x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:]
+    lower = 0.5 * (np.sum(cross, axis=1) + x[:, -1] * y[:, 0] - y[:, -1] * x[:, 0])
+    dh = np.diff(h, axis=1, append=h[:, :1])
+    upper = tan_half * np.sum(h * h, axis=1) - half_csc * np.sum(dh * dh, axis=1)
+    # Rounding margin, with u = 2^-53, R the largest |p| and s = sin(2 pi / k)
+    # >= 6 / k.  The polygons here lie in the disk of radius R, and
+    # sum |cross(v_i, v_i+1)| <= 4 pi R^2 on a convex polygon, so a shoelace
+    # over V vertices rounds by at most ~17 V u R^2 (4 u R^2 per cross
+    # product, (V - 1) u of the absolute sum).  hull_area's monotone chain may
+    # misjudge an orientation only on a triangle of area <= 16 u R^2
+    # (differences up to 2R), at most 2 m times: with its shoelace, at most
+    # ~41 m u R^2.  The support values round by <= 3 u R, which moves the
+    # outer area by <= 3 u R times its perimeter, ~19 u R^2; its two sums
+    # (terms up to R^2 and, as |h_{i+1} - h_i| <= R t, up to R^2 t^2) round
+    # by <= k u of their totals, ~7 k u R^2 with their coefficients.  A
+    # near-tie argmax keeps the inner polygon inside the hull unless it
+    # reverses two points, which must then lie within 6 u R / s <= k u R of
+    # each other: <= 2 k u R^2 per reversal, 2 k^2 u R^2 over k of them.  So
+    # each bound is off by less than (41 m + 2 k^2 + 17 k + 19) u R^2, and
+    # the margin is (64 m + 4 k^2) u R^2.
+    slack = (64 * m + 4 * k * k) * 2.0 ** -53 * np.max(np.sum(pts * pts, axis=2), axis=1)
     return lower - slack, upper + slack
 
 
@@ -160,6 +170,24 @@ def hull_area(line) -> float:
     if len(hull) < 3:
         return 0.0
     return abs(_polygon_area(hull))
+
+
+def _hull_areas_reach(points: np.ndarray, threshold: float) -> np.ndarray:
+    """``hull_area(points[b]) >= threshold`` for each row of a (B, m, 2) stack.
+
+    Bounds in 32 directions decide most rows, bounds in 128 directions most
+    of the rest, and :func:`hull_area` the rows both leave open (NaN rows
+    among them), so the answer is that of the exact hull, row by row.
+    """
+    reach = np.zeros(len(points), dtype=bool)
+    rows = np.arange(len(points))
+    for k in _SUPPORT_FRAMES:
+        lower, upper = _hull_area_bounds(points[rows], k)
+        reach[rows[lower >= threshold]] = True
+        rows = rows[~(lower >= threshold) & ~(upper < threshold)]  # NaN rows stay open
+    for b in rows:
+        reach[b] = hull_area(points[b]) >= threshold
+    return reach
 
 
 def convexification_order(edges: np.ndarray, reference: np.ndarray, orientation: str) -> np.ndarray:

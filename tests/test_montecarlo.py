@@ -135,6 +135,17 @@ def test_hull_area_points_examples():
         assert mc.hull_area_points(pts) == pytest.approx(brute_force_hull_area(pts), abs=1e-12)
 
 
+def test_atom_draw_stays_in_range_when_masses_sum_below_one():
+    # these softmax masses accumulate to 1 - 2^-52, so the largest uniform,
+    # 1 - 2^-53, lies above every cumulative mass
+    logits = np.array([[-0.1857739586715857, -1.416489366414042, -0.8274022267661552]])
+    _, probs = inc._logsumexp(logits)
+    assert np.cumsum(probs)[-1] < 1.0 - 2.0 ** -53
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    draw = mc._atom_draw(points, logits)
+    np.testing.assert_array_equal(draw(np.array([[1.0 - 2.0 ** -53]])), [[[0.0, 1.0]]])
+
+
 def test_estimate_determinism_and_thread_invariance(iso):
     # walks run on one thread; the CLI's --threads is echoed only (test_cli)
     a = lh.estimate_ldp(iso, 0.1, 12, 2000, mode="naive", seed=3)
@@ -275,6 +286,10 @@ def test_pinned_estimates(case):
     est = lh.estimate_ldp(model, area, n, samples, mode=mode, seed=seed)
     assert est.hits == hits
     assert est.rate == pytest.approx(rate, rel=1e-13, abs=0.0)
+    if mode == "naive":
+        assert est.ess == hits and est.max_weight_share == 1.0 / hits
+    else:
+        assert 1.0 <= est.ess <= hits and 0.0 < est.max_weight_share <= 1.0
 
 
 def test_log_mean_exp_below_exp_underflow():

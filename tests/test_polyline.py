@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import ldp_hull as lh
 from ldp_hull import montecarlo as mc
-from ldp_hull.polyline import PolygonalLine, _hull_area_bounds
+from ldp_hull import polyline
+from ldp_hull.polyline import PolygonalLine, _hull_area_bounds, _hull_areas_reach
 
 from conftest import brute_force_hull_area
 
@@ -253,9 +254,10 @@ def point_stacks(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(pts=point_stacks())
 def test_hull_area_bounds_bracket_the_exact_hull(pts):
-    lower, upper = _hull_area_bounds(pts)
-    for b in range(len(pts)):
-        assert lower[b] <= mc.hull_area_points(pts[b]) <= upper[b]
+    for k in (32, 128):
+        lower, upper = _hull_area_bounds(pts, k)
+        for b in range(len(pts)):
+            assert lower[b] <= mc.hull_area_points(pts[b]) <= upper[b]
 
 
 def test_hull_area_bounds_are_tight_on_round_sets():
@@ -265,3 +267,60 @@ def test_hull_area_bounds_are_tight_on_round_sets():
     lower, upper = _hull_area_bounds(np.stack([circle, 3.0 * circle + 5.0]))
     assert lower / np.array([1.0, 9.0]) == pytest.approx(math.pi * (1 - 0.0064), rel=1e-3)
     assert upper / np.array([1.0, 9.0]) == pytest.approx(math.pi * (1 + 0.0032), rel=1e-3)
+    # a circle sampled at every tenth of the 128 directions: its extreme points
+    # span the inscribed 128-gon (-0.040%), its support lines the circumscribed
+    # one (+0.020%)
+    t = np.linspace(0.0, 2 * math.pi, 1280, endpoint=False)
+    circle = np.column_stack([np.cos(t), np.sin(t)])
+    lower, upper = _hull_area_bounds(np.stack([circle, 3.0 * circle + 5.0]), 128)
+    assert lower / np.array([1.0, 9.0]) == pytest.approx(64 * math.sin(math.pi / 64), rel=1e-9)
+    assert upper / np.array([1.0, 9.0]) == pytest.approx(128 * math.tan(math.pi / 128), rel=1e-9)
+
+
+@st.composite
+def reach_cases(draw):
+    """A point stack and a threshold at a row's exact hull area, or the next
+    float above it, or with one row turned to NaN (whose hull area is 0)."""
+    pts = draw(point_stacks()).copy()
+    b = draw(st.integers(0, len(pts) - 1))
+    threshold = mc.hull_area_points(pts[b])
+    kind = draw(st.sampled_from(["exact", "above", "nan"]))
+    if kind == "above":
+        threshold = np.nextafter(threshold, math.inf)
+    elif kind == "nan":
+        pts[draw(st.integers(0, len(pts) - 1))] = math.nan
+    return pts, threshold
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=reach_cases())
+def test_hull_areas_reach_is_the_exact_comparison(case):
+    pts, threshold = case
+    expected = [mc.hull_area_points(p) >= threshold for p in pts]
+    assert _hull_areas_reach(pts, threshold).tolist() == expected
+
+
+def test_each_tier_decides_some_rows(monkeypatch):
+    # dense circles with areas 1/2, 2, 1.002, 0.999 and 1 times the threshold:
+    # the 32-gons decide the first two, the 128-gons the next two (their
+    # relative gaps are 4.0e-4 and 2.0e-4), the exact hull the last
+    t = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False) + 0.1
+    circle = np.column_stack([np.cos(t), np.sin(t)])
+    scales = np.sqrt([0.5, 2.0, 1.002, 0.999, 1.0])
+    pts = scales[:, None, None] * circle
+    threshold = polyline.hull_area(circle)
+    seen, exact = {}, []
+    bounds, hull_area = polyline._hull_area_bounds, polyline.hull_area
+
+    def counted_bounds(points, k):
+        seen[k] = len(points)
+        return bounds(points, k)
+
+    def counted_hull_area(points):
+        exact.append(points)
+        return hull_area(points)
+
+    monkeypatch.setattr(polyline, "_hull_area_bounds", counted_bounds)
+    monkeypatch.setattr(polyline, "hull_area", counted_hull_area)
+    assert _hull_areas_reach(pts, threshold).tolist() == [False, True, True, False, True]
+    assert seen == {32: 5, 128: 3} and len(exact) == 1

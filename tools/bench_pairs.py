@@ -9,7 +9,10 @@ Each pair runs every workload of BENCHMARK.json on both commits back to back,
 ``run_seconds``, each in its own interpreter; the base runs first in even pairs
 and second in odd ones.  The output records the machine, both commits and their
 ``src/`` trees, every run, and per workload and end-to-end metric each side's
-median, quartiles and run count and the number of pairs the head won.
+median, quartiles and run count and the number of pairs the head won.  After
+the pairs, one ``--trace 1`` run per side and workload records the per-layer
+work counts (the ``*_calls`` and ``*_rows`` metrics), which repeat exactly
+from run to run.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ def _export(sha: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{workload} in {checkout} exited {proc.returncode}: {proc.stderr[-400:]}")
@@ -81,6 +84,13 @@ def main(argv=None) -> int:
                 for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
                     runs[w][side].append(_run(os.path.join(tmp, side), w, args.seed, seconds))
                     print(f"# pair {i} {w} {side}: {runs[w][side][-1]}", file=sys.stderr, flush=True)
+        counts = {w: {} for w in workloads}
+        for w in workloads:
+            for side in sides:
+                traced = _run(os.path.join(tmp, side), w, args.seed, seconds, trace=1)
+                counts[w][side] = {k: v for k, v in traced.items()
+                                   if k in ("correct", "failed") or k.endswith(("_calls", "_rows"))}
+                print(f"# traced {w} {side}: {counts[w][side]}", file=sys.stderr, flush=True)
     table = {}
     for w, by_side in runs.items():
         table[w] = {"all_correct": all(r["correct"] for rs in by_side.values() for r in rs),
@@ -95,8 +105,10 @@ def main(argv=None) -> int:
         "commits": sides,
         "src_trees": {side: _git("rev-parse", f"{sha}:src") for side, sha in sides.items()},
         "protocol": {"pairs": args.pairs, "seed": args.seed, "seconds": seconds,
-                     "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0"},
+                     "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
+                     "counts_command": "perfbench/run.py --workload W --seed S --seconds T --trace 1"},
         "workloads": table,
+        "trace_counts": counts,
         "runs": runs,
     }
     with open(args.out, "w") as fh:
