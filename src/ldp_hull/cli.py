@@ -272,11 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rate of convex-hull-area large deviations for planar random walks",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    env_threads = os.environ.get("LDP_HULL_THREADS") or None
-    try:
-        env_threads = env_threads and int(env_threads)
-    except ValueError:
-        raise ValueError(f"LDP_HULL_THREADS must be an integer, got {env_threads!r}") from None
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, dist=True):
@@ -286,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--threads",
             type=int,
-            default=env_threads,
             help="accepted and echoed in the config; sampling runs on one thread",
         )
 
@@ -345,7 +339,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.threads is not None and args.threads <= 0:
-            raise ValueError(f"--threads and LDP_HULL_THREADS must be positive, got {args.threads}")
+            raise ValueError(f"--threads must be positive, got {args.threads}")
         return args.fn(args)
     except DomainError as exc:
         sys.stderr.write(dumps({"error": exc.payload()}) + "\n")

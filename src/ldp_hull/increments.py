@@ -8,6 +8,10 @@ pure function, so concurrent use is safe.
 
 The Laplace transform of every representable kind is finite on the whole
 plane by construction; heavier-tailed laws are not representable.
+
+Every monotone scalar equation of the package is solved here: batched by
+the safeguarded Newton :func:`_increasing_root`, on one bracket by Brent's
+method :func:`_brent`, and on (0, inf) by :func:`_solve_decreasing`.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ _PROB_TOL = 1e-12
 _COLLINEAR_TOL = 1e-12
 _ROOT_ROUNDS = 200
 _SYMMETRY_TOL = 1e-10  # relative gap of K(u) and K(-u) on the probe grid
+_GROW = 16.0  # bracket expansion factor: a no-root exit costs about 12 evaluations
+_ROOT_RTOL = 1e-13
+_BRENT_MAXITER = 100
+_EPS = float(np.finfo(float).eps)
+_ALPHA_HI_CAP = 1e12
+_ALPHA_LO_CAP = 1e-14
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -115,9 +125,15 @@ FULL_PLANE = SupportClass("full_plane")
 PROPER_SUBSET = SupportClass("proper_subset")
 
 
+def _check_finite(what: str, *params) -> None:
+    if not all(np.all(np.isfinite(p)) for p in params):
+        raise ValueError(f"{what} parameters must be finite")
+
+
 def gaussian(mean, cov, eps: float = 0.0) -> IncrementModel:
     mean = _frozen(np.reshape(np.asarray(mean, float), 2))
     cov = np.asarray(cov, dtype=float).reshape(2, 2)
+    _check_finite("gaussian", mean, cov)
     if not np.allclose(cov, cov.T, atol=1e-12):
         raise ValueError("covariance must be symmetric")
     cov = 0.5 * (cov + cov.T)
@@ -132,6 +148,7 @@ def atoms(points, probs, eps: float = 0.0) -> IncrementModel:
     p = np.asarray(probs, dtype=float).reshape(-1)
     if len(pts) != len(p) or len(pts) == 0:
         raise ValueError("points and probs must be non-empty and equally long")
+    _check_finite("atoms", pts, p)
     if abs(p.sum() - 1.0) > _PROB_TOL:
         raise ValueError("probabilities must sum to 1")
     if np.any(p <= 0.0):
@@ -142,6 +159,7 @@ def atoms(points, probs, eps: float = 0.0) -> IncrementModel:
 
 
 def gaussian1d(mean: float, var: float) -> Gaussian1D:
+    _check_finite("gaussian1d", mean, var)
     if var <= 0.0:
         raise ValueError("a one-dimensional Gaussian sub-model needs variance > 0")
     return Gaussian1D(float(mean), float(var))
@@ -152,6 +170,7 @@ def atoms1d(points, probs) -> Atoms1D:
     p = np.asarray(probs, dtype=float).reshape(-1)
     if len(pts) != len(p) or len(pts) < 2:
         raise ValueError("a one-dimensional atom sub-model needs >= 2 atoms")
+    _check_finite("atoms1d", pts, p)
     if abs(p.sum() - 1.0) > _PROB_TOL or np.any(p <= 0.0):
         raise ValueError("probabilities must be positive and sum to 1")
     if len(np.unique(pts)) != len(pts):
@@ -160,6 +179,7 @@ def atoms1d(points, probs) -> Atoms1D:
 
 
 def graph1d(mu1: float, y_model: "Gaussian1D | Atoms1D", eps: float = 0.0) -> IncrementModel:
+    _check_finite("graph1d", mu1)
     if mu1 == 0.0:
         raise ValueError("mu1 must be non-zero")
     if not isinstance(y_model, (Gaussian1D, Atoms1D)):
@@ -232,6 +252,83 @@ def _increasing_root(fn, x0, lo, hi, ftol, xtol=math.inf) -> np.ndarray:
         f"root solve: {int(np.sum(~done))} of {done.size} entries unsettled "
         f"after {_ROOT_ROUNDS} rounds"
     )
+
+
+def _brent(f, xa, xb, fa, fb, xtol: float, rtol: float) -> float:
+    """Root of f on [xa, xb] from fa = f(xa), fb = f(xb) of opposite signs (or zero) by
+    Brent's method (1973, ch. 4) step for step as scipy's ``brentq``: done once half the
+    bracket is below (xtol + rtol |x|)/2; NoConvergenceError after ``_BRENT_MAXITER`` rounds."""
+    if not xtol > 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if not rtol >= 4.0 * _EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * _EPS:g})")
+    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a good short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:  # a division by an underflowed 0 bisects, as its inf or nan does in C
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"f({xcur!r}) is NaN")
+    raise NoConvergenceError(f"Brent's method: no root in {_BRENT_MAXITER} iterations, x={xcur!r}")
+
+
+def _solve_decreasing(fn, target: float):
+    """Root of a strictly decreasing fn(alpha) = target on (0, inf).
+
+    The bracket grows from alpha = 1 by the factor ``_GROW`` until it holds a
+    sign change, then :func:`_brent` solves in it.  Returns (alpha, None) on
+    success.  (None, slope_at_cap) means the target undershoots the attainable
+    range (the area is too large); (None, None) means it overshoots on the
+    small-alpha side, so this branch has no root.
+    """
+    lo = hi = 1.0
+    f_lo = f_hi = fn(1.0)
+    if f_lo > target:
+        while f_hi > target:
+            if hi >= _ALPHA_HI_CAP:
+                return None, f_hi
+            lo, f_lo = hi, f_hi
+            hi = min(hi * _GROW, _ALPHA_HI_CAP)
+            f_hi = fn(hi)
+    else:
+        while f_lo <= target:
+            hi, f_hi = lo, f_lo
+            lo /= _GROW
+            if lo < _ALPHA_LO_CAP:
+                return None, None
+            f_lo = fn(lo)
+    g = lambda a: fn(a) - target
+    return _brent(g, lo, hi, f_lo - target, f_hi - target, _ROOT_RTOL * lo, _ROOT_RTOL), None
 
 
 # ---------------------------------------------------------------------------

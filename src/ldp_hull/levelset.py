@@ -19,6 +19,13 @@ over an elongated level set.  The public functions double the node count
 until the values on n and 2n nodes agree to a relative tolerance and raise
 :class:`NoConvergenceError` past ``_N_CAP`` nodes.  Ray solves within one
 rule are one vectorized batch; results are deterministic.
+
+The level equations of the optimal trajectories are solved here as well.
+The level of a target area matches d sqrt(area)/d alpha, taken from the
+coarea identity (mass over twice the root area, never finite differences),
+to the target on one fixed polar rule, and solves again on more nodes until
+area and mass settle at the root.  The cut directions ``ell`` are those
+where the level set meets the line through 0 at a centrally symmetric pair.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import increments as inc
-from .errors import NoConvergenceError, NotFullPlaneError
+from .errors import NoConvergenceError, NotFullPlaneError, NotSymmetricError, OutOfRangeError
 from .polyline import PolygonalLine, _perp
 
 __all__ = [
@@ -49,6 +56,18 @@ _REFINE_RTOL = 1e-7
 _N0 = 32  # first node count of a settling sequence
 _N_CAP = 2 ** 13
 _INVERSE_TOL = 1e-12  # cumulative-mass residual of an inverted sample, relative to the mass
+_SETTLE_RTOL = 1e-12
+_ANGLE_XTOL = 1e-15
+
+
+class _AllDirections:
+    """Sentinel: every direction qualifies (centrally symmetric law)."""
+
+    def __repr__(self):  # pragma: no cover
+        return "ALL_DIRECTIONS"
+
+
+ALL_DIRECTIONS = _AllDirections()
 
 
 @dataclass
@@ -302,3 +321,124 @@ def arc_parametrization(
     samples = sdirs * _ray_radii(model, alpha, sdirs)[:, None]
     derivs = tau * mass * _perp(inc.cumulant_gradient(model, samples))
     return LevelArc(float(alpha), ell, tau, times, samples, derivs, mass, area)
+
+
+# ---------------------------------------------------------------------------
+# Level equations: the level of a target area and the chord directions
+
+def _settle_rtol(alpha: float) -> float:
+    """N-vs-2N gap of area and mass that counts as settled: ``_SETTLE_RTOL``,
+    or four times the relative ray-radius noise where that is larger."""
+    return max(_SETTLE_RTOL, 4.0 * _RAY_TOL * max(1.0, alpha) / alpha)
+
+
+def _solve_level(model, target: float, ell=None, tau: int = +1):
+    """:func:`increments._solve_decreasing` of alpha -> d sqrt(area)/d alpha on
+    one polar rule of n nodes (the ring, or the arc of ``ell`` and ``tau``), so
+    the slope is one function of alpha, its ray radii warm-started; solved again
+    on more nodes until n reaches the count at which the area and mass settle
+    (:func:`_settled` at :func:`_settle_rtol`) at the root, or, without a root,
+    at the smallest level tried: too few nodes underestimate the slope of a
+    short arc near the origin."""
+    rule_of = lambda n: _ring_rule(model, n) if ell is None else _arc_rule(model, ell, tau, n)
+    n = _N0
+    while True:
+        rule, radii, last = rule_of(n), None, None
+
+        def slope(alpha: float) -> float:
+            nonlocal radii, last
+            area, mass, radii = _quadrature(model, alpha, rule, radii)
+            last = alpha
+            return mass / (2.0 * math.sqrt(max(area, 1e-300)))
+
+        alpha, cap = inc._solve_decreasing(slope, target)
+        if cap is not None:
+            return alpha, cap
+        at = alpha if alpha is not None else last
+        settled_n = _settled(model, at, rule_of, _settle_rtol(at))[2]
+        if settled_n <= n:
+            return alpha, cap
+        n = settled_n
+
+
+def symmetric_level(model: inc.IncrementModel, area: float) -> float:
+    """Level alpha with d sqrt(E(alpha))/d alpha = 1/sqrt(2 * area).
+
+    Only for centrally symmetric full-plane models; the square-rooted
+    sub-level area is strictly concave, so the slope is strictly decreasing
+    and a bracketed root finder applies.  The slope is evaluated through the
+    coarea identity (full-level arc mass over twice the root area).
+    """
+    inc._check_area(area)
+    _check_args(model, 1.0, "symmetric_level")
+    if not inc.is_centrally_symmetric(model):
+        raise NotSymmetricError("symmetric_level needs a centrally symmetric law")
+    target = 1.0 / math.sqrt(2.0 * area)
+    alpha, cap_slope = _solve_level(model, target)
+    if alpha is None:
+        if cap_slope is None:
+            raise NoConvergenceError("level solve found no root on the small-alpha side")
+        # the area reached at the cap level (A/M^2 of each half), on the finest rule
+        full, mass, _ = _quadrature(model, inc._ALPHA_HI_CAP, _ring_rule(model, _N_CAP))
+        raise OutOfRangeError(
+            "target area at or beyond the attainable range", a_max=2.0 * full / mass ** 2
+        )
+    return float(alpha)
+
+
+def _radius_gap(model, alpha, thetas, r0=None):
+    """r(theta) - r(theta + pi) for each angle, plus the radii for warm starts."""
+    thetas = np.atleast_1d(thetas)
+    dirs = _dirs_of(np.concatenate([thetas, thetas + np.pi]))
+    r = _ray_radii(model, alpha, dirs, r0=r0)
+    k = len(thetas)
+    return r[:k] - r[k:], r
+
+
+def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
+    """Directions where the level set meets the line through 0 symmetrically.
+
+    Scans k angles on the half-circle for sign changes of the radius gap and
+    refines each with :func:`increments._brent`.  Centrally symmetric models
+    return the ALL_DIRECTIONS sentinel (every direction qualifies).  Each root direction
+    is returned with both signs and both orientations.  Roots of even
+    multiplicity between grid nodes can be missed; raise k to refine.
+    """
+    _check_args(model, alpha, "candidate_directions")
+    if k < 4:
+        raise ValueError("need at least 4 scan directions")
+    if inc.is_centrally_symmetric(model):
+        return ALL_DIRECTIONS
+    thetas = np.linspace(0.0, np.pi, k, endpoint=False)
+    gaps, _ = _radius_gap(model, alpha, thetas)
+    scale = 1e-12 * max(1.0, float(np.max(np.abs(gaps))))
+    # scan intervals [thetas[i], ends[i]]; the gap is anti-periodic
+    ends, end_gaps = np.append(thetas[1:], np.pi), np.append(gaps[1:], -gaps[0])
+    roots: list[float] = []
+    for lo, hi, g_lo, g_hi in zip(thetas, ends, gaps, end_gaps):
+        if abs(g_lo) <= scale:
+            roots.append(float(lo))
+        elif g_lo * g_hi < 0.0:
+            roots.append(_direction_root(model, alpha, lo, hi, g_lo, g_hi))
+    units = [np.array([math.cos(t), math.sin(t)]) for t in _dedup_angles(roots)]
+    return [(ell, tau) for e in units for ell in (e, -e) for tau in (+1, -1)]
+
+
+def _direction_root(model, alpha, lo, hi, g_lo, g_hi) -> float:
+    """Angle in [lo, hi] where the radius gap changes sign; ray solves warm-started."""
+    r = None
+
+    def gap(theta):
+        nonlocal r
+        g, r = _radius_gap(model, alpha, np.array([theta]), r0=r)
+        return g[0]
+
+    return float(inc._brent(gap, lo, hi, g_lo, g_hi, _ANGLE_XTOL, inc._ROOT_RTOL))
+
+
+def _dedup_angles(roots, tol=1e-9):
+    out: list[float] = []
+    for t in sorted(r % math.pi for r in roots):
+        if all(min(abs(t - s), math.pi - abs(t - s)) > tol for s in out):
+            out.append(t)
+    return out

@@ -80,7 +80,9 @@ def convex_hull_vertices(points) -> np.ndarray:
     Monte Carlo loops, where small-array overhead dominates.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    uniq = sorted(set(map(tuple, pts.tolist())))
+    # sorted, then equal neighbours dropped: a set would hash each NaN by identity
+    srt = sorted(map(tuple, pts.tolist()))
+    uniq = srt[:1] + [q for p, q in zip(srt, srt[1:]) if q != p]
     if len(uniq) <= 2:
         return np.asarray(uniq, dtype=float).reshape(-1, 2)
 

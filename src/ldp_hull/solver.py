@@ -1,23 +1,14 @@
 """Optimal trajectories and the minimal path cost for a target hull area.
 
 For full-plane increment laws the optimal curves are rotated, scaled arcs of
-a cumulant level set: the level ``alpha`` solves a scalar equation tying the
-derivative of the square-rooted (half-)sub-level area to the target area, the
-admissible cut directions ``ell`` are those where the level set meets the
-line through the origin at a centrally symmetric point pair, and each arc is
-traversed in either orientation.  One routine finds those chords
-(:func:`candidate_directions`): it seeds the directions and settles each
-arc's direction/level fixed point.  Each arc is solved once; its reverse
-traversal (-ell, -tau) is derived from it, so mirror energies tie exactly.
-Graph models (support on a vertical line) have an explicit two-curve
-solution driven by the vertical cumulant.
-
-Derivatives of sqrt(area) in the level value are always obtained through the
-coarea identity (arc-mass quadrature), never by finite differences.  A level
-solve runs on one fixed polar rule (whitened nodes, see ``levelset``), then
-settles area and mass at the root by doubling the node count until n and n/2
-nodes agree, up to a cap, and solves again on more nodes when needed.  A
-candidate's energy is 2A/M - alpha from its arc's half area A and mass M.
+a cumulant level set; ``levelset`` solves for their level and for the cut
+directions ``ell`` (centrally symmetric chords of the level set).  This
+module composes the candidates: it seeds the directions, settles each arc's
+direction/level fixed point and traverses the arc in either orientation.
+Each arc is solved once; its reverse traversal (-ell, -tau) is derived from
+it, so mirror energies tie exactly.  A candidate's energy is 2A/M - alpha
+from its arc's half area A and mass M.  Graph models (support on a vertical
+line) have an explicit two-curve solution driven by the vertical cumulant.
 All candidate evaluations are independent and deterministic.
 """
 
@@ -34,23 +25,17 @@ from .errors import (
     NoCandidateError,
     NoConvergenceError,
     NotFullPlaneError,
-    NotSymmetricError,
     OutOfRangeError,
 )
 from .legendre import Trajectory
 from .levelset import (
-    _N0,
-    _N_CAP,
-    _arc_rule,
-    _check_args,
-    _dirs_of,
-    _quadrature,
-    _RAY_TOL,
-    _ray_radii,
-    _ring_rule,
-    _settled,
+    ALL_DIRECTIONS,
+    _settle_rtol,
+    _solve_level,
     _unit,
     arc_parametrization,
+    candidate_directions,
+    symmetric_level,
 )
 from .polyline import _perp
 
@@ -68,28 +53,10 @@ __all__ = [
     "euler_lagrange_residual_1d",
 ]
 
-_GROW = 16.0  # bracket expansion factor: a no-root exit costs about 12 evaluations
-_ROOT_RTOL = 1e-13
-_BRENT_MAXITER = 100
-_EPS = float(np.finfo(float).eps)
-_SETTLE_RTOL = 1e-12
-_ANGLE_XTOL = 1e-15
-_ALPHA_HI_CAP = 1e12
-_ALPHA_LO_CAP = 1e-14
 _LADDER = (1e-1, 1e-2, 1e-3)
 _FIXED_POINT_ROUNDS = 30
 _TIE_RTOL = 1e-9  # candidate energies this close are ordered by (angle, tau)
 _GRAPH_NODES = 64
-
-
-class _AllDirections:
-    """Sentinel: every direction qualifies (centrally symmetric law)."""
-
-    def __repr__(self):  # pragma: no cover
-        return "ALL_DIRECTIONS"
-
-
-ALL_DIRECTIONS = _AllDirections()
 
 
 @dataclass
@@ -139,216 +106,6 @@ class GraphSolution:
     a_max: float
     multiplier_plus: float
     multiplier_minus: float
-
-
-# ---------------------------------------------------------------------------
-# Monotone scalar solves in the level value
-
-class _LevelSlope:
-    """alpha -> d sqrt(area)/d alpha on one polar rule, fixed for a whole level
-    solve so that the slope is one function of alpha.  Ray radii are
-    warm-started across alpha values; ``last`` is the last level evaluated."""
-
-    def __init__(self, model, rule):
-        self.model, self.rule, self.last, self._radii = model, rule, None, None
-
-    def __call__(self, alpha: float) -> float:
-        area, mass, self._radii = _quadrature(self.model, alpha, self.rule, self._radii)
-        self.last = alpha
-        return mass / (2.0 * math.sqrt(max(area, 1e-300)))
-
-
-def _settle_rtol(alpha: float) -> float:
-    """N-vs-2N gap of area and mass that counts as settled: ``_SETTLE_RTOL``,
-    or four times the relative ray-radius noise where that is larger."""
-    return max(_SETTLE_RTOL, 4.0 * _RAY_TOL * max(1.0, alpha) / alpha)
-
-
-def _solve_level(model, rule_of, target: float):
-    """:func:`_solve_decreasing` of the slope on ``rule_of(n)`` nodes, solved
-    again on more nodes until n reaches the count at which the area and mass
-    settle (:func:`levelset._settled` at :func:`_settle_rtol`) at the root,
-    or, without a root, at the smallest level tried: too few nodes
-    underestimate the slope of a short arc near the origin."""
-    n = _N0
-    while True:
-        slope = _LevelSlope(model, rule_of(n))
-        alpha, cap = _solve_decreasing(slope, target)
-        if cap is not None:
-            return alpha, cap
-        at = alpha if alpha is not None else slope.last
-        settled_n = _settled(model, at, rule_of, _settle_rtol(at))[2]
-        if settled_n <= n:
-            return alpha, cap
-        n = settled_n
-
-
-def _brent(f, xa, xb, fa, fb, xtol: float, rtol: float) -> float:
-    """Root of f on [xa, xb] from fa = f(xa), fb = f(xb) of opposite signs (or zero) by
-    Brent's method (1973, ch. 4) step for step as scipy's ``brentq``: done once half the
-    bracket is below (xtol + rtol |x|)/2; NoConvergenceError after ``_BRENT_MAXITER`` rounds."""
-    if not xtol > 0.0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if not rtol >= 4.0 * _EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * _EPS:g})")
-    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless a good short step is found
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:  # a division by an underflowed 0 bisects, as its inf or nan does in C
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise ValueError(f"f({xcur!r}) is NaN")
-    raise NoConvergenceError(f"Brent's method: no root in {_BRENT_MAXITER} iterations, x={xcur!r}")
-
-
-def _root(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> float:
-    """:func:`_brent` to ``xtol`` + ``_ROOT_RTOL`` relative; f_lo, f_hi are fn at lo, hi."""
-    return _brent(fn, lo, hi, f_lo, f_hi, xtol, _ROOT_RTOL)
-
-
-def _solve_decreasing(fn, target: float):
-    """Root of a strictly decreasing fn(alpha) = target on (0, inf).
-
-    The bracket grows from alpha = 1 by the factor ``_GROW`` until it holds a
-    sign change, then :func:`_root` solves in it.  Returns (alpha, None) on
-    success.  (None, slope_at_cap) means the target undershoots the attainable
-    range (the area is too large); (None, None) means it overshoots on the
-    small-alpha side, so this branch has no root.
-    """
-    lo = hi = 1.0
-    f_lo = f_hi = fn(1.0)
-    if f_lo > target:
-        while f_hi > target:
-            if hi >= _ALPHA_HI_CAP:
-                return None, f_hi
-            lo, f_lo = hi, f_hi
-            hi = min(hi * _GROW, _ALPHA_HI_CAP)
-            f_hi = fn(hi)
-    else:
-        while f_lo <= target:
-            hi, f_hi = lo, f_lo
-            lo /= _GROW
-            if lo < _ALPHA_LO_CAP:
-                return None, None
-            f_lo = fn(lo)
-    g = lambda a: fn(a) - target
-    return _root(g, lo, hi, f_lo - target, f_hi - target, _ROOT_RTOL * lo), None
-
-
-def symmetric_level(model: inc.IncrementModel, area: float) -> float:
-    """Level alpha with d sqrt(E(alpha))/d alpha = 1/sqrt(2 * area).
-
-    Only for centrally symmetric full-plane models; the square-rooted
-    sub-level area is strictly concave, so the slope is strictly decreasing
-    and a bracketed root finder applies.  The slope is evaluated through the
-    coarea identity (full-level arc mass over twice the root area).
-    """
-    inc._check_area(area)
-    _check_args(model, 1.0, "symmetric_level")
-    if not inc.is_centrally_symmetric(model):
-        raise NotSymmetricError("symmetric_level needs a centrally symmetric law")
-    target = 1.0 / math.sqrt(2.0 * area)
-    alpha, cap_slope = _solve_level(model, lambda n: _ring_rule(model, n), target)
-    if alpha is None:
-        if cap_slope is None:
-            raise NoConvergenceError("level solve found no root on the small-alpha side")
-        # the area reached at the cap level (A/M^2 of each half), on the finest rule
-        full, mass, _ = _quadrature(model, _ALPHA_HI_CAP, _ring_rule(model, _N_CAP))
-        raise OutOfRangeError(
-            "target area at or beyond the attainable range", a_max=2.0 * full / mass ** 2
-        )
-    return float(alpha)
-
-
-# ---------------------------------------------------------------------------
-# Candidate directions: centrally symmetric chord pairs of one level set
-
-def _radius_gap(model, alpha, thetas, r0=None):
-    """r(theta) - r(theta + pi) for each angle, plus the radii for warm starts."""
-    thetas = np.atleast_1d(thetas)
-    dirs = _dirs_of(np.concatenate([thetas, thetas + np.pi]))
-    r = _ray_radii(model, alpha, dirs, r0=r0)
-    k = len(thetas)
-    return r[:k] - r[k:], r
-
-
-def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
-    """Directions where the level set meets the line through 0 symmetrically.
-
-    Scans k angles on the half-circle for sign changes of the radius gap and
-    refines each with :func:`_root`.  Centrally symmetric models return the
-    ALL_DIRECTIONS sentinel (every direction qualifies).  Each root direction
-    is returned with both signs and both orientations.  Roots of even
-    multiplicity between grid nodes can be missed; raise k to refine.
-    """
-    _check_args(model, alpha, "candidate_directions")
-    if k < 4:
-        raise ValueError("need at least 4 scan directions")
-    if inc.is_centrally_symmetric(model):
-        return ALL_DIRECTIONS
-    thetas = np.linspace(0.0, np.pi, k, endpoint=False)
-    gaps, _ = _radius_gap(model, alpha, thetas)
-    scale = 1e-12 * max(1.0, float(np.max(np.abs(gaps))))
-    # scan intervals [thetas[i], ends[i]]; the gap is anti-periodic
-    ends, end_gaps = np.append(thetas[1:], np.pi), np.append(gaps[1:], -gaps[0])
-    roots: list[float] = []
-    for lo, hi, g_lo, g_hi in zip(thetas, ends, gaps, end_gaps):
-        if abs(g_lo) <= scale:
-            roots.append(float(lo))
-        elif g_lo * g_hi < 0.0:
-            roots.append(_direction_root(model, alpha, lo, hi, g_lo, g_hi))
-    units = [np.array([math.cos(t), math.sin(t)]) for t in _dedup_angles(roots)]
-    return [(ell, tau) for e in units for ell in (e, -e) for tau in (+1, -1)]
-
-
-def _direction_root(model, alpha, lo, hi, g_lo, g_hi) -> float:
-    """Angle in [lo, hi] where the radius gap changes sign; ray solves warm-started."""
-    r = None
-
-    def gap(theta):
-        nonlocal r
-        g, r = _radius_gap(model, alpha, np.array([theta]), r0=r)
-        return g[0]
-
-    return float(_root(gap, lo, hi, g_lo, g_hi, _ANGLE_XTOL))
-
-
-def _dedup_angles(roots, tol=1e-9):
-    out: list[float] = []
-    for t in sorted(r % math.pi for r in roots):
-        if all(min(abs(t - s), math.pi - abs(t - s)) > tol for s in out):
-            out.append(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +166,7 @@ def _solve_candidate(model, theta, tau, area, n, k):
     target = 1.0 / (2.0 * math.sqrt(area))
     for _ in range(_FIXED_POINT_ROUNDS):
         ell = np.array([math.cos(theta), math.sin(theta)])
-        alpha, _cap = _solve_level(model, lambda n: _arc_rule(model, ell, tau, n), target)
+        alpha, _cap = _solve_level(model, target, ell, tau)
         if alpha is None:
             return None
         chords = [math.atan2(e[1], e[0]) for e, t in candidate_directions(model, alpha, k) if t == tau]
@@ -446,9 +203,7 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
         ell = np.array([1.0, 0.0])
         cands = [_candidate(model, alpha, ell, tau, n) for tau in (+1, -1)]
     else:
-        seed_alpha, cap = _solve_level(
-            model, lambda n: _ring_rule(model, n), 1.0 / math.sqrt(2.0 * area)
-        )
+        seed_alpha, cap = _solve_level(model, 1.0 / math.sqrt(2.0 * area))
         if seed_alpha is None:
             seed_alpha = 1.0
         cands = []
@@ -554,7 +309,7 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     a_max = _graph_a_max(mu1, y)
     if area >= a_max:
         raise OutOfRangeError("target area at or beyond the graph-model range", a_max=a_max)
-    u, _ = _solve_decreasing(lambda v: -_area_slope(y, v), -4.0 * area / abs(mu1))
+    u, _ = inc._solve_decreasing(lambda v: -_area_slope(y, v), -4.0 * area / abs(mu1))
     if u is None:
         raise NoConvergenceError("dual-parameter solve found no bracket")
 

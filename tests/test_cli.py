@@ -245,38 +245,24 @@ def test_simulate_byte_identical_across_runs_and_threads(specs):
     assert payload["rate_estimate"] is not None
 
 
-def test_simulate_env_var_threads(specs, tmp_path, monkeypatch):
-    monkeypatch.setenv("LDP_HULL_THREADS", "2")
-    out = tmp_path / "sim.json"
-    code = main(["simulate", "--dist", specs["gauss_iso.json"], "--area", "0.1", "--steps", "8",
-                 "--samples", "500", "--mode", "naive", "--seed", "1", "--output", str(out)])
-    assert code == 0
-    assert json.loads(out.read_text())["config"]["threads"] == 2
-
-
-def test_non_integer_env_threads_is_parse_error(specs, monkeypatch, capsys):
-    # rejected while the parser is built, before any subcommand runs
-    monkeypatch.setenv("LDP_HULL_THREADS", "two")
-    code = main(["simulate", "--dist", specs["gauss_iso.json"], "--area", "0.1", "--steps", "8",
-                 "--samples", "500", "--mode", "naive", "--seed", "1"])
-    assert code == 1
-    assert "LDP_HULL_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0"), (None, "-1")])
-def test_non_positive_threads_rejected(specs, monkeypatch, capsys, flag, env):
-    if env is None:
-        monkeypatch.delenv("LDP_HULL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("LDP_HULL_THREADS", env)
+@pytest.mark.parametrize("flag", ["0", "-2"])
+def test_non_positive_threads_rejected(specs, capsys, flag):
     args = ["simulate", "--dist", specs["gauss_iso.json"], "--area", "0.1", "--steps", "8",
-            "--samples", "500", "--seed", "1"] + (["--threads", flag] if flag else [])
+            "--samples", "500", "--seed", "1", "--threads", flag]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert "LDP_HULL_THREADS" in err and "must be positive" in err
+    assert err.startswith("error: --threads must be positive")
     # the same rule holds for every subcommand
-    assert main(["rate", "--dist", specs["gauss_iso.json"], "--area", "1"]
-                + (["--threads", flag] if flag else [])) == 1
+    assert main(["rate", "--dist", specs["gauss_iso.json"], "--area", "1", "--threads", flag]) == 1
+
+
+def test_non_finite_law_parameter_is_an_input_error(tmp_path, capsys):
+    # json reads NaN; the law is rejected before any solve, not reported as no_convergence
+    spec = tmp_path / "nan_mean.json"
+    spec.write_text('{"type": "gaussian", "mean": [NaN, 0], "cov": [[1, 0], [0, 1]], "eps": 0}')
+    assert main(["rate", "--dist", str(spec), "--area", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gaussian parameters must be finite") and len(err.splitlines()) == 1
 
 
 def test_json_floats_round_trip(specs, tmp_path):

@@ -160,6 +160,21 @@ def test_validation_errors():
         lh.gaussian1d(0.0, 0.0)  # constant y-model
 
 
+@pytest.mark.parametrize("build", [
+    lambda: lh.atoms([[1, 1], [1, -1], [-1, 0]], [math.nan, 0.5, 0.5]),
+    lambda: lh.atoms([[1, 1], [1, -1], [-math.inf, 0]], [1 / 3] * 3),
+    lambda: lh.gaussian([math.nan, 0], np.eye(2)),
+    lambda: lh.gaussian([0, 0], [[math.inf, 0], [0, 1]]),
+    lambda: lh.atoms1d([math.nan, 1], [0.5, 0.5]),
+    lambda: lh.graph1d(math.inf, lh.gaussian1d(0, 1)),
+    lambda: lh.gaussian1d(0, math.inf),
+], ids=["atoms-nan-prob", "atoms-inf-point", "gaussian-nan-mean", "gaussian-inf-cov",
+        "atoms1d-nan-point", "graph1d-inf-mu1", "gaussian1d-inf-var"])
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_json_specs_roundtrip(iso, two_atoms, graph_pm1):
     for m in (iso, two_atoms, graph_pm1, lh.regularize(iso, 0.5)):
         again = lh.from_spec(lh.to_spec(m))

@@ -9,7 +9,7 @@ from scipy.fft import dct
 
 import ldp_hull as lh
 from ldp_hull import increments as inc
-from ldp_hull import levelset, solver
+from ldp_hull import levelset
 from ldp_hull.errors import NoConvergenceError, NotFullPlaneError
 
 
@@ -135,9 +135,13 @@ def test_gaussian_level_set_closed_forms(eigs, phi, mean, alpha, theta):
 def test_ring_slope_is_root_two_arc_slopes_on_square_law(square_atoms, alpha, theta, tau):
     # central symmetry: the ring has twice the area and twice the mass of each half
     ell = np.array([math.cos(theta), math.sin(theta)])
-    ring = solver._LevelSlope(square_atoms, levelset._ring_rule(square_atoms, 256))
-    arc = solver._LevelSlope(square_atoms, levelset._arc_rule(square_atoms, ell, tau, 256))
-    assert ring(alpha) == pytest.approx(math.sqrt(2) * arc(alpha), rel=1e-10)
+    def slope(rule):
+        area, mass, _ = levelset._quadrature(square_atoms, alpha, rule)
+        return mass / (2.0 * math.sqrt(area))
+
+    ring = slope(levelset._ring_rule(square_atoms, 256))
+    arc = slope(levelset._arc_rule(square_atoms, ell, tau, 256))
+    assert ring == pytest.approx(math.sqrt(2) * arc, rel=1e-10)
 
 
 def test_refinement_cap_raises(triangle_atoms, monkeypatch):

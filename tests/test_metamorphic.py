@@ -183,6 +183,22 @@ def test_diagonal_image_of_graph_law(law, s1, s2, flip, u):
     assert got == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "y",
+    [lh.gaussian1d(0.3, 1.0), lh.atoms1d([1.0, -1.0], [0.5, 0.5]), lh.atoms1d([1.5, -0.5], [0.25, 0.75])],
+    ids=["gauss", "pm1", "skewed-atoms"],
+)
+def test_mirrored_graph_law(y):
+    # x -> -x maps graph1d(mu1, y) to graph1d(-mu1, y) and keeps hull areas;
+    # the candidate with the positive multiplier leads, which for mu1 < 0 is
+    # the mirror of the mu1 > 0 law's second candidate
+    right, left = (lh.rate_of_area(lh.graph1d(mu1, y), 0.1) for mu1 in (1.3, -1.3))
+    assert left.rate == right.rate
+    assert left.candidates[0].multiplier > 0.0
+    mirrored = right.candidates[1].trajectory.points * [-1.0, 1.0]
+    np.testing.assert_array_equal(left.candidates[0].trajectory.points, mirrored)  # exact
+
+
 REFLECT = np.diag([1.0, -1.0])
 
 

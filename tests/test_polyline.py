@@ -51,6 +51,14 @@ def test_hull_area_against_brute_force():
         assert lh.hull_area(pts) == pytest.approx(brute_force_hull_area(pts), abs=1e-12)
 
 
+def test_hull_area_is_deterministic_on_nan_input():
+    # deduplicating through a set hashed each NaN by identity, so this point
+    # set gave areas 0.0 and 70.178 (and others) across calls
+    pts = np.random.default_rng(3).normal(size=(10, 2)) * 10
+    pts[0, 0] = math.nan
+    assert len({lh.hull_area(pts) for _ in range(200)}) == 1
+
+
 def test_convexify_triangle_preserves_area():
     tri = PolygonalLine(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
     out = lh.convexify(tri, "clockwise")

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import ldp_hull as lh
-from ldp_hull import cli, solver
+from ldp_hull import cli, levelset, solver
 from ldp_hull import increments as inc
 from ldp_hull.errors import (
     NoCandidateError,
@@ -161,7 +161,7 @@ def test_one_mass_per_solved_arc(request, law, a):
     solved = [c for c in res.candidates if symmetric or c.ell[1] < 0.0]
     assert solved
     for c in solved:
-        rtol = solver._settle_rtol(c.alpha)
+        rtol = levelset._settle_rtol(c.alpha)
         mass = lh.arc_mass(model, c.alpha, c.ell, c.tau, rtol=rtol)
         area = lh.half_area(model, c.alpha, c.ell, c.tau, rtol=rtol)
         assert c.multiplier == c.tau * mass
@@ -486,7 +486,7 @@ def test_level_solve_matches_bisection(name):
     fn, targets = DECREASING[name]
     for target in targets:
         calls = []
-        got, cap = solver._solve_decreasing(lambda a: calls.append(a) or fn(a), target)
+        got, cap = inc._solve_decreasing(lambda a: calls.append(a) or fn(a), target)
         ref, ref_cap = bisect_decreasing(fn, target)
         assert (got is None) == (ref is None), target
         if ref is None:
@@ -548,7 +548,7 @@ def test_unsettled_direction_fixed_point_raises(drift, monkeypatch):
         e = np.array([math.cos(theta[0]), math.sin(theta[0])])
         return [(ell, tau) for ell in (e, -e) for tau in (+1, -1)]
 
-    monkeypatch.setattr(solver, "_solve_decreasing", lambda fn, target: (1.0, None))
+    monkeypatch.setattr(inc, "_solve_decreasing", lambda fn, target: (1.0, None))
     monkeypatch.setattr(solver, "candidate_directions", moving_chord)
     with pytest.raises(NoConvergenceError):
         solver._solve_candidate(drift, math.pi / 2, +1, 1.0, 64, 256)
@@ -593,7 +593,7 @@ def test_brent_matches_brentq_bit_for_bit(name):
         for xtol, rtol in tolerances:
             ref_x, got_x = [], []
             ref = brentq(lambda x: ref_x.append(x) or f(x), a, b, xtol=xtol, rtol=rtol)
-            got = solver._brent(lambda x: got_x.append(x) or f(x), a, b, f(a), f(b), xtol, rtol)
+            got = inc._brent(lambda x: got_x.append(x) or f(x), a, b, f(a), f(b), xtol, rtol)
             assert got == ref and got_x == ref_x[2:], (a, b, xtol, rtol)
             cases += 1
     assert cases >= 10
@@ -601,28 +601,28 @@ def test_brent_matches_brentq_bit_for_bit(name):
 
 def test_brent_checks_its_inputs_and_its_cap():
     f = _BRENT_FUNCTIONS["cubic"]
-    assert solver._brent(f, 2.0, 3.0, 0.0, f(3.0), 1e-12, 1e-13) == 2.0
+    assert inc._brent(f, 2.0, 3.0, 0.0, f(3.0), 1e-12, 1e-13) == 2.0
     with pytest.raises(ValueError, match="xtol"):
-        solver._brent(f, 1.0, 3.0, f(1.0), f(3.0), 0.0, 1e-13)
+        inc._brent(f, 1.0, 3.0, f(1.0), f(3.0), 0.0, 1e-13)
     with pytest.raises(ValueError, match="rtol"):
-        solver._brent(f, 1.0, 3.0, f(1.0), f(3.0), 1e-12, 1e-16)
+        inc._brent(f, 1.0, 3.0, f(1.0), f(3.0), 1e-12, 1e-16)
     with pytest.raises(ValueError, match="signs"):
-        solver._brent(f, 3.0, 4.0, f(3.0), f(4.0), 1e-12, 1e-13)
+        inc._brent(f, 3.0, 4.0, f(3.0), f(4.0), 1e-12, 1e-13)
     with pytest.raises(ValueError, match="NaN"):
-        solver._brent(lambda x: math.nan, 1.0, 3.0, f(1.0), f(3.0), 1e-12, 1e-13)
+        inc._brent(lambda x: math.nan, 1.0, 3.0, f(1.0), f(3.0), 1e-12, 1e-13)
     # a fifth-order root takes brentq past its 100 iterations too
     flat = lambda x: (x - 0.7) ** 5
     with pytest.raises(RuntimeError):
         brentq(flat, 0.01, 3.0, xtol=1e-12, rtol=1e-13)
     with pytest.raises(NoConvergenceError):
-        solver._brent(flat, 0.01, 3.0, flat(0.01), flat(3.0), 1e-12, 1e-13)
+        inc._brent(flat, 0.01, 3.0, flat(0.01), flat(3.0), 1e-12, 1e-13)
 
 
 def test_root_cap_raises_no_convergence(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(solver, "_BRENT_MAXITER", 2)
+    monkeypatch.setattr(inc, "_BRENT_MAXITER", 2)
     f = _BRENT_FUNCTIONS["cos"]
     with pytest.raises(NoConvergenceError):
-        solver._root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+        inc._brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12, inc._ROOT_RTOL)
     # through the CLI it is exit 2 with a JSON error, not a traceback
     spec = tmp_path / "gauss_iso.json"
     spec.write_text(json.dumps({"type": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]], "eps": 0}))

@@ -7,8 +7,8 @@ the runs see only committed files and nothing is registered in the repository.
 Each pair runs every workload of BENCHMARK.json on both commits back to back,
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` with T its
 ``run_seconds``, each in its own interpreter; the base runs first in even pairs
-and second in odd ones.  The output records the machine, both commits and their
-``src/`` trees, every run, and per workload and end-to-end metric each side's
+and second in odd ones.  The output records the machine, both commits, their
+``src/`` trees and the line count of their ``src/ldp_hull/*.py``, every run, and per workload and end-to-end metric each side's
 median, quartiles and run count and the number of pairs the head won.  After
 the pairs, one ``--trace 1`` run per side and workload records the per-layer
 work counts (the ``*_calls`` and ``*_rows`` metrics), which repeat exactly
@@ -18,6 +18,7 @@ from run to run.
 from __future__ import annotations
 
 import argparse
+import glob
 import importlib.metadata
 import json
 import os
@@ -38,6 +39,15 @@ def _export(sha: str, dest: str) -> None:
     archive = subprocess.run(["git", "-C", ROOT, "archive", sha], check=True, capture_output=True).stdout
     os.makedirs(dest)
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def _src_lines(checkout: str) -> int:
+    """Line count of ``src/ldp_hull/*.py`` in an export, as ``wc -l`` gives it."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "ldp_hull", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _run(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -79,6 +89,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         for side, sha in sides.items():
             _export(sha, os.path.join(tmp, side))
+        src_lines = {side: _src_lines(os.path.join(tmp, side)) for side in sides}
         for i in range(args.pairs):
             for w in workloads:
                 for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
@@ -104,6 +115,7 @@ def main(argv=None) -> int:
         "machine": machine,
         "commits": sides,
         "src_trees": {side: _git("rev-parse", f"{sha}:src") for side, sha in sides.items()},
+        "src_lines": src_lines,
         "protocol": {"pairs": args.pairs, "seed": args.seed, "seconds": seconds,
                      "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
                      "counts_command": "perfbench/run.py --workload W --seed S --seconds T --trace 1"},
