@@ -144,7 +144,7 @@ def _cmd_rate(args) -> int:
 
 def _trajectory_csv(res, c: solver.Candidate) -> str:
     traj = c.trajectory
-    vals = legendre._dual_rates(res.model, traj.duals, traj.derivs)
+    vals = legendre._dual_rates(traj.duals, traj.derivs, inc.cumulant(res.model, traj.duals))
     rows = np.column_stack([traj.times, traj.points, traj.derivs, vals])
     return _csv_rows(rows)
 

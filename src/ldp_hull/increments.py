@@ -9,6 +9,11 @@ pure function, so concurrent use is safe.
 The Laplace transform of every representable kind is finite on the whole
 plane by construction; heavier-tailed laws are not representable.
 
+Each law's K, grad K and Hess K come from one kernel, :func:`_derivatives`
+(:func:`_y_derivatives` for a graph's vertical law): one kind dispatch, one
+softmax for atoms, one eps lift and only the orders asked for; the public
+cumulant functions and :func:`drift` select from it.
+
 Every monotone scalar equation of the package is solved here: batched by
 the safeguarded Newton :func:`_increasing_root`, on one bracket by Brent's
 method :func:`_brent`, and on (0, inf) by :func:`_solve_decreasing`.
@@ -199,14 +204,6 @@ def _check_area(area: float) -> None:
         raise ValueError(f"target area must be positive and finite, got {area}")
 
 
-def _prepare(u):
-    arr = np.asarray(u, dtype=float)
-    if arr.shape[-1] != 2:
-        raise ValueError("u must have trailing dimension 2")
-    scalar = arr.ndim == 1
-    return np.atleast_2d(arr), scalar
-
-
 def _logsumexp(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-sum-exp over the last axis and the softmax weights, by max shift:
     finite scores of any size neither overflow nor underflow to an empty sum."""
@@ -332,113 +329,109 @@ def _solve_decreasing(fn, target: float):
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional sub-model cumulants (used by Graph1D and by legendre.rate_1d)
+# The cumulant kernel.  Every law's K, grad K and Hess K are written once, here.
+
+def _y_derivatives(y, w, order: int) -> list:
+    """[K_y, K_y', K_y''][:order + 1] of a one-dimensional sub-model at w; atoms take
+    every order from one softmax, with K_y(0) = 0 and K_y'(0) = E Y exactly."""
+    if isinstance(y, Gaussian1D):
+        derivs = [y.mean * w + 0.5 * y.var * w * w]
+        if order >= 1:
+            derivs.append(y.mean + y.var * w)
+        if order >= 2:
+            derivs.append(np.full_like(np.asarray(w, float), y.var))
+        return derivs
+    lse, weights = _logsumexp(np.multiply.outer(w, y.points) + np.log(y.probs))
+    derivs = [np.where(w == 0.0, 0.0, lse)]
+    if order >= 1:
+        m1 = weights @ y.points
+        derivs.append(np.where(w == 0.0, float(y.probs @ y.points), m1))
+    if order >= 2:
+        derivs.append(weights @ (y.points * y.points) - m1 * m1)
+    return derivs
+
+
+def _derivatives(model: IncrementModel, u, order: int) -> tuple:
+    """(K, grad K, Hess K)[:order + 1] at u of shape (2,) or (m, 2), computing only
+    the orders asked for; a scalar u gives a float, a (2,) and a (2, 2) array.
+
+    Closed forms per kind, plus the eps/2 |u|^2 lift.  Atoms take every order
+    from one max-shifted log-sum-exp and its softmax, so |u| up to ~700 is
+    safe, and K(0) = 0, grad K(0) = E X exactly.
+    """
+    U = np.asarray(u, dtype=float)
+    if U.shape[-1] != 2:
+        raise ValueError("u must have trailing dimension 2")
+    scalar, U, kind = U.ndim == 1, np.atleast_2d(U), model.kind
+    if isinstance(kind, Gaussian):
+        UC = U @ kind.cov
+        derivs = [U @ kind.mean + 0.5 * np.einsum("ij,ij->i", U, UC)]
+        if order >= 1:
+            derivs.append(kind.mean + UC)
+        if order >= 2:
+            derivs.append(np.broadcast_to(kind.cov, (len(U), 2, 2)).copy())
+    elif isinstance(kind, Atoms):
+        lse, weights = _logsumexp(U @ kind.points.T + np.log(kind.probs))
+        zero = np.all(U == 0.0, axis=1)
+        derivs = [np.where(zero, 0.0, lse)]
+        if order >= 1:
+            grad = weights @ kind.points
+            grad[zero] = kind.probs @ kind.points
+            derivs.append(grad)
+        if order >= 2:
+            weights[zero] = kind.probs
+            m1 = weights @ kind.points
+            m2 = np.einsum("mk,ki,kj->mij", weights, kind.points, kind.points)
+            derivs.append(m2 - np.einsum("mi,mj->mij", m1, m1))
+    else:
+        ky = _y_derivatives(kind.y_model, U[:, 1], order)
+        derivs = [kind.mu1 * U[:, 0] + ky[0]]
+        if order >= 1:
+            derivs.append(np.column_stack([np.full(len(U), kind.mu1), ky[1]]))
+        if order >= 2:
+            hess = np.zeros((len(U), 2, 2))
+            hess[:, 1, 1] = ky[2]
+            derivs.append(hess)
+    if model.epsilon:
+        eps = model.epsilon
+        lifts = (lambda: 0.5 * eps * np.einsum("ij,ij->i", U, U), lambda: eps * U,
+                 lambda: eps * np.eye(2))
+        derivs = [d + lift() for d, lift in zip(derivs, lifts)]
+    if scalar:
+        return (float(derivs[0][0]), *(d[0] for d in derivs[1:]))
+    return tuple(derivs)
+
 
 def y_cumulant(y, w: np.ndarray) -> np.ndarray:
-    if isinstance(y, Gaussian1D):
-        return y.mean * w + 0.5 * y.var * w * w
-    out, _ = _logsumexp(np.multiply.outer(w, y.points) + np.log(y.probs))
-    return np.where(w == 0.0, 0.0, out)
+    return _y_derivatives(y, w, 0)[0]
 
 
 def y_cumulant_d1(y, w: np.ndarray) -> np.ndarray:
-    if isinstance(y, Gaussian1D):
-        return y.mean + y.var * w
-    _, weights = _logsumexp(np.multiply.outer(w, y.points) + np.log(y.probs))
-    out = weights @ y.points
-    return np.where(w == 0.0, float(y.probs @ y.points), out)
+    return _y_derivatives(y, w, 1)[1]
 
 
 def y_cumulant_d2(y, w: np.ndarray) -> np.ndarray:
-    if isinstance(y, Gaussian1D):
-        return np.full_like(np.asarray(w, float), y.var)
-    _, weights = _logsumexp(np.multiply.outer(w, y.points) + np.log(y.probs))
-    m1 = weights @ y.points
-    m2 = weights @ (y.points * y.points)
-    return m2 - m1 * m1
+    return _y_derivatives(y, w, 2)[2]
 
-
-def y_mean(y) -> float:
-    if isinstance(y, Gaussian1D):
-        return y.mean
-    return float(y.probs @ y.points)
-
-
-# ---------------------------------------------------------------------------
-# Planar cumulant and derivatives.  All accept u of shape (2,) or (m, 2).
 
 def cumulant(model: IncrementModel, u) -> "float | np.ndarray":
-    """log E exp(u . X) plus the eps/2 * |u|^2 regularization term.
-
-    Exact closed forms per kind; the atom kind uses log-sum-exp with max
-    subtraction, so |u| up to ~700 is safe.  K(0) = 0 exactly.
-    """
-    U, scalar = _prepare(u)
-    kind = model.kind
-    if isinstance(kind, Gaussian):
-        vals = U @ kind.mean + 0.5 * np.einsum("ij,ij->i", U, U @ kind.cov)
-    elif isinstance(kind, Atoms):
-        vals, _ = _logsumexp(U @ kind.points.T + np.log(kind.probs))
-        vals = np.where(np.all(U == 0.0, axis=1), 0.0, vals)
-    else:
-        vals = kind.mu1 * U[:, 0] + y_cumulant(kind.y_model, U[:, 1])
-    if model.epsilon:
-        vals = vals + 0.5 * model.epsilon * np.einsum("ij,ij->i", U, U)
-    return float(vals[0]) if scalar else vals
+    """log E exp(u . X) plus the eps/2 * |u|^2 regularization term; K(0) = 0."""
+    return _derivatives(model, u, 0)[0]
 
 
 def cumulant_gradient(model: IncrementModel, u) -> np.ndarray:
-    """Analytic gradient of :func:`cumulant`; equals the drift at u = 0."""
-    U, scalar = _prepare(u)
-    kind = model.kind
-    if isinstance(kind, Gaussian):
-        grad = kind.mean + U @ kind.cov
-    elif isinstance(kind, Atoms):
-        _, weights = _logsumexp(U @ kind.points.T + np.log(kind.probs))
-        grad = weights @ kind.points
-        zero = np.all(U == 0.0, axis=1)
-        if zero.any():
-            grad[zero] = kind.probs @ kind.points
-    else:
-        grad = np.empty_like(U)
-        grad[:, 0] = kind.mu1
-        grad[:, 1] = y_cumulant_d1(kind.y_model, U[:, 1])
-    if model.epsilon:
-        grad = grad + model.epsilon * U
-    return grad[0] if scalar else grad
+    """Gradient of :func:`cumulant`; equals the drift at u = 0."""
+    return _derivatives(model, u, 1)[1]
 
 
 def cumulant_hessian(model: IncrementModel, u) -> np.ndarray:
-    """Analytic Hessian of :func:`cumulant`: symmetric PSD, and SPD whenever
-    the support class is full-plane or epsilon > 0."""
-    U, scalar = _prepare(u)
-    kind = model.kind
-    if isinstance(kind, Gaussian):
-        hess = np.broadcast_to(kind.cov, (len(U), 2, 2)).copy()
-    elif isinstance(kind, Atoms):
-        _, weights = _logsumexp(U @ kind.points.T + np.log(kind.probs))
-        zero = np.all(U == 0.0, axis=1)
-        if zero.any():
-            weights[zero] = kind.probs
-        m1 = weights @ kind.points
-        m2 = np.einsum("mk,ki,kj->mij", weights, kind.points, kind.points)
-        hess = m2 - np.einsum("mi,mj->mij", m1, m1)
-    else:
-        hess = np.zeros((len(U), 2, 2))
-        hess[:, 1, 1] = y_cumulant_d2(kind.y_model, U[:, 1])
-    if model.epsilon:
-        hess = hess + model.epsilon * np.eye(2)
-    return hess[0] if scalar else hess
+    """Hessian of :func:`cumulant`: PSD, and SPD if full-plane or epsilon > 0."""
+    return _derivatives(model, u, 2)[2]
 
 
 def drift(model: IncrementModel) -> np.ndarray:
-    """Mean increment, which equals the cumulant gradient at the origin."""
-    kind = model.kind
-    if isinstance(kind, Gaussian):
-        return np.array(kind.mean)
-    if isinstance(kind, Atoms):
-        return np.asarray(kind.probs @ kind.points, float)
-    return np.array([kind.mu1, y_mean(kind.y_model)])
+    """Mean increment: the cumulant gradient at the origin."""
+    return cumulant_gradient(model, np.zeros(2))
 
 
 def _strictly_inside(hull: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -498,24 +491,29 @@ def is_centrally_symmetric(model: IncrementModel) -> bool:
 # JSON distribution specs
 
 def from_spec(spec: dict) -> IncrementModel:
-    """Build a model from its JSON dict form (see :func:`to_spec`)."""
+    """Build a model from its JSON dict form (see :func:`to_spec`); a field of
+    the wrong type (``null`` for a number, a number for a sub-spec) is a
+    ValueError that names the spec type."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("distribution spec must be a dict with a 'type' key")
     eps = spec.get("eps", 0.0)
     t = spec["type"]
-    if t == "gaussian":
-        return gaussian(spec["mean"], spec["cov"], eps)
-    if t == "atoms":
-        return atoms(spec["points"], spec["probs"], eps)
-    if t == "graph1d":
-        y = spec["y"]
-        if y["type"] == "gaussian1d":
-            sub = gaussian1d(y.get("mean", 0.0), y["var"])
-        elif y["type"] == "atoms1d":
-            sub = atoms1d(y["points"], y["probs"])
-        else:
-            raise ValueError(f"unknown y-model type {y['type']!r}")
-        return graph1d(spec["mu1"], sub, eps)
+    try:
+        if t == "gaussian":
+            return gaussian(spec["mean"], spec["cov"], eps)
+        if t == "atoms":
+            return atoms(spec["points"], spec["probs"], eps)
+        if t == "graph1d":
+            y = spec["y"]
+            if y["type"] == "gaussian1d":
+                sub = gaussian1d(y.get("mean", 0.0), y["var"])
+            elif y["type"] == "atoms1d":
+                sub = atoms1d(y["points"], y["probs"])
+            else:
+                raise ValueError(f"unknown y-model type {y['type']!r}")
+            return graph1d(spec["mu1"], sub, eps)
+    except TypeError as exc:
+        raise ValueError(f"malformed {t!r} distribution spec: {exc}") from None
     raise ValueError(f"unknown distribution type {t!r}")
 
 

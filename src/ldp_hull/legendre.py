@@ -99,13 +99,13 @@ def _solve2x2(H: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _linear_duals(model: inc.IncrementModel, V: np.ndarray) -> np.ndarray:
     """Hess K(0)^{-1} (v - mu) per row: the duals of the quadratic model of K
     at 0, exact for Gaussian laws."""
-    H0 = inc.cumulant_hessian(model, np.zeros(2))[None]
-    return _solve2x2(np.broadcast_to(H0, (len(V), 2, 2)), V - inc.drift(model))
+    _, mu, H0 = inc._derivatives(model, np.zeros(2), 2)
+    return _solve2x2(np.broadcast_to(H0[None], (len(V), 2, 2)), V - mu)
 
 
-def _dual_rates(model: inc.IncrementModel, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Rate u.v - K(u) per row, clipped at 0: the rate at v = grad K(u)."""
-    return np.maximum(np.einsum("ij,ij->i", U, V) - inc.cumulant(model, U), 0.0)
+def _dual_rates(U: np.ndarray, V: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Rate u.v - K per row from K = K(u), clipped at 0: the rate at v = grad K(u)."""
+    return np.maximum(np.einsum("ij,ij->i", U, V) - K, 0.0)
 
 
 def _conjugate_maximizer(
@@ -203,7 +203,7 @@ def rate_batch(model: inc.IncrementModel, V, return_maximizers: bool = False):
             f"gradient inversion failed for {int(np.sum(feasible & ~ok))} points "
             f"after {_MAX_ITER} iterations"
         )
-    vals = _dual_rates(model, U, V)
+    vals = _dual_rates(U, V, inc.cumulant(model, U))
     vals[~feasible] = math.inf
     if return_maximizers:
         return vals, U
@@ -260,7 +260,8 @@ def _solve_y_gradient(y, v: np.ndarray) -> np.ndarray:
         raise NoConvergenceError("no bracket for K_y'(w) = v; is v interior to the support?")
 
     def residual(w):
-        return inc.y_cumulant_d1(y, w) - v, inc.y_cumulant_d2(y, w)
+        _, d1, d2 = inc._y_derivatives(y, w, 2)
+        return d1 - v, d2
 
     ftol = 1e-14 * (1.0 + np.abs(v))
     return inc._increasing_root(residual, 0.5 * (lo + hi), lo, hi, ftol, xtol=1e-12)

@@ -18,7 +18,8 @@ S (cos phi, sin phi) with S = Hess K(0)^{-1/2}, which spreads them evenly
 over an elongated level set.  The public functions double the node count
 until the values on n and 2n nodes agree to a relative tolerance and raise
 :class:`NoConvergenceError` past ``_N_CAP`` nodes.  Ray solves within one
-rule are one vectorized batch; results are deterministic.
+rule are one vectorized batch; results are deterministic.  The mass density
+reuses d . g from the ray solve's last round, taken at the radii it returns.
 
 The level equations of the optimal trajectories are solved here as well.
 The level of a target area matches d sqrt(area)/d alpha, taken from the
@@ -115,13 +116,9 @@ def _check_tau(tau) -> int:
     raise ValueError("tau must be +1/-1 (or '+'/'-')")
 
 
-def _ray_radii(
-    model: inc.IncrementModel,
-    alpha: float,
-    dirs: np.ndarray,
-    r0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Radii r > 0 with K(r * dir) = alpha for each unit row of ``dirs``.
+def _ray_radii(model, alpha: float, dirs: np.ndarray, r0=None) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r > 0 with K(r * dir) = alpha for each unit row of ``dirs``, and
+    the slopes dir . grad K(r * dir) there.
 
     Unique because K is convex with K(0) = 0 < alpha and grows to infinity
     along every ray, so K(r * dir) - alpha is negative below the root and
@@ -129,23 +126,26 @@ def _ray_radii(
     safeguarded Newton solve on the bracket (0, inf), started from ``r0`` (the
     radii of a nearby solve) or from 1, until every residual is at most
     ``_RAY_TOL * max(1, alpha)`` or its bracket has no float inside; raises
-    :class:`NoConvergenceError` otherwise.
+    :class:`NoConvergenceError` otherwise.  The slopes are those of the last
+    Newton round, which evaluates every entry at the radius it returns.
     """
+    slope = None
 
     def residual(r):
-        u = dirs * r[:, None]
-        slope = np.einsum("ij,ij->i", dirs, inc.cumulant_gradient(model, u))
-        return inc.cumulant(model, u) - alpha, slope
+        nonlocal slope
+        K, grad = inc._derivatives(model, dirs * r[:, None], 1)
+        slope = np.einsum("ij,ij->i", dirs, grad)
+        return K - alpha, slope
 
     x0 = np.ones(len(dirs)) if r0 is None else r0
-    return inc._increasing_root(residual, x0, 0.0, math.inf, _RAY_TOL * max(1.0, alpha))
+    return inc._increasing_root(residual, x0, 0.0, math.inf, _RAY_TOL * max(1.0, alpha)), slope
 
 
 def level_radius(model: inc.IncrementModel, alpha: float, direction) -> float:
     """The unique r > 0 with K(r * direction) = alpha along a unit direction."""
     _check_args(model, alpha, "level_radius")
     d = _unit(direction)
-    return float(_ray_radii(model, alpha, d[None, :])[0])
+    return float(_ray_radii(model, alpha, d[None, :])[0][0])
 
 
 def _dirs_of(angles: np.ndarray) -> np.ndarray:
@@ -159,7 +159,7 @@ def trace_level(model: inc.IncrementModel, alpha: float, m: int = 2048) -> Polyg
         raise ValueError("trace_level needs at least 8 samples")
     angles = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     dirs = _dirs_of(angles)
-    pts = dirs * _ray_radii(model, alpha, dirs)[:, None]
+    pts = dirs * _ray_radii(model, alpha, dirs)[0][:, None]
     return PolygonalLine(np.vstack([pts, pts[:1]]))
 
 
@@ -230,10 +230,9 @@ def _arc_rule(model, ell: np.ndarray, tau: int, n: int):
 
 
 def _mass_density(model, alpha, dirs, r0=None):
-    """Ray radii r and the coarea mass per unit angle r/(d . grad K(r d))."""
-    r = _ray_radii(model, alpha, dirs, r0=r0)
-    g = inc.cumulant_gradient(model, dirs * r[:, None])
-    return r, r / np.einsum("ij,ij->i", dirs, g)
+    """Ray radii r and the coarea mass per unit angle r/(d . grad K(r d)), slopes reused."""
+    r, slope = _ray_radii(model, alpha, dirs, r0=r0)
+    return r, r / slope
 
 
 def _quadrature(model, alpha, rule, r0=None):
@@ -318,7 +317,7 @@ def arc_parametrization(
         2.0 * times[1:-1] - 1.0, -1.0, 1.0, _INVERSE_TOL * mass,
     )
     sdirs = _arc_dirs(model, ell, tau, np.concatenate([[-1.0], inner, [1.0]]))[0]
-    samples = sdirs * _ray_radii(model, alpha, sdirs)[:, None]
+    samples = sdirs * _ray_radii(model, alpha, sdirs)[0][:, None]
     derivs = tau * mass * _perp(inc.cumulant_gradient(model, samples))
     return LevelArc(float(alpha), ell, tau, times, samples, derivs, mass, area)
 
@@ -390,7 +389,7 @@ def _radius_gap(model, alpha, thetas, r0=None):
     """r(theta) - r(theta + pi) for each angle, plus the radii for warm starts."""
     thetas = np.atleast_1d(thetas)
     dirs = _dirs_of(np.concatenate([thetas, thetas + np.pi]))
-    r = _ray_radii(model, alpha, dirs, r0=r0)
+    r = _ray_radii(model, alpha, dirs, r0=r0)[0]
     k = len(thetas)
     return r[:k] - r[k:], r
 

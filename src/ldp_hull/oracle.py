@@ -87,8 +87,8 @@ def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
 
     def evaluate(U):
         # every dual point is in the domain: v = grad K(u), I(v) = u.v - K(u)
-        V = inc.cumulant_gradient(model, U)
-        vals = legendre._dual_rates(model, U, V)
+        K, V = inc._derivatives(model, U, 1)
+        vals = legendre._dual_rates(U, V, K)
         a, dA = _area_terms(V)
         c = a - target
         L = _mean_energy(vals) + omega * c + 0.5 * rho * c * c

@@ -314,7 +314,8 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
         raise NoConvergenceError("dual-parameter solve found no bracket")
 
     w = u * _GL_NODES
-    energy = 0.5 * float(_GL_WEIGHTS @ (w * inc.y_cumulant_d1(y, w) - inc.y_cumulant(y, w)))
+    k, d1 = inc._y_derivatives(y, w, 1)
+    energy = 0.5 * float(_GL_WEIGHTS @ (w * d1 - k))
 
     times = np.linspace(0.0, 1.0, n + 1)
     w = u * (2.0 * times - 1.0)

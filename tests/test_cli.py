@@ -265,6 +265,23 @@ def test_non_finite_law_parameter_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: gaussian parameters must be finite") and len(err.splitlines()) == 1
 
 
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]], "eps": None},
+        {"type": "graph1d", "mu1": None, "y": {"type": "gaussian1d", "mean": 0, "var": 1}},
+        {"type": "graph1d", "mu1": 1, "y": 5},
+    ],
+    ids=["null-eps", "null-mu1", "number-y"],
+)
+def test_wrong_typed_spec_field_is_one_line_error(tmp_path, capsys, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["rate", "--dist", str(path), "--area", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and spec["type"] in err and len(err.splitlines()) == 1
+
 def test_json_floats_round_trip(specs, tmp_path):
     out = tmp_path / "rate.json"
     main(["rate", "--dist", specs["gauss_iso.json"], "--area", "0.7", "--output", str(out)])

@@ -102,6 +102,48 @@ def test_drift_is_gradient_at_zero(iso, drift, two_atoms, triangle_atoms, graph_
         np.testing.assert_array_equal(lh.cumulant_gradient(m, [0.0, 0.0]), lh.drift(m))
 
 
+KERNEL_LAWS = {
+    "gauss": lambda eps: lh.gaussian([0.4, -0.2], [[1.0, 0.3], [0.3, 0.7]], eps),
+    "atoms": lambda eps: lh.atoms([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [0.2, 0.3, 0.5], eps),
+    "graph-gauss": lambda eps: lh.graph1d(1.3, lh.gaussian1d(0.2, 2.0), eps),
+    "graph-atoms": lambda eps: lh.graph1d(-0.7, lh.atoms1d([1.0, -1.0, 0.5], [0.3, 0.3, 0.4]), eps),
+}
+# u = 0 (the exact K(0), E X and moments), ordinary rows, and |u| ~ 600
+KERNEL_ROWS = np.array(
+    [[0.0, 0.0], [0.3, -1.2], [0.0, 2.5], [-4.0, 0.0], [600.0, 0.0], [-420.0, 430.0], [0.0, -600.0]]
+)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(KERNEL_LAWS))
+def test_kernel_orders_are_prefixes_and_the_public_functions(name, eps):
+    model = KERNEL_LAWS[name](eps)
+    full = inc._derivatives(model, KERNEL_ROWS, 2)
+    assert len(full) == 3 and all(np.all(np.isfinite(d)) for d in full)
+    for order in (0, 1):
+        part = inc._derivatives(model, KERNEL_ROWS, order)
+        assert len(part) == order + 1
+        for a, b in zip(part, full):
+            np.testing.assert_array_equal(a, b)
+    publics = (lh.cumulant, lh.cumulant_gradient, lh.cumulant_hessian)
+    for fn, d in zip(publics, full):
+        np.testing.assert_array_equal(fn(model, KERNEL_ROWS), d)
+    for i, row in enumerate(KERNEL_ROWS):
+        scalar = inc._derivatives(model, row, 2)
+        assert type(scalar[0]) is float and scalar[1].shape == (2,) and scalar[2].shape == (2, 2)
+        for fn, d, batch in zip(publics, scalar, full):
+            np.testing.assert_array_equal(fn(model, row), d)
+            np.testing.assert_allclose(d, batch[i], rtol=1e-14, atol=0.0)
+    if isinstance(model.kind, inc.Graph1D):
+        y, w = model.kind.y_model, KERNEL_ROWS[:, 1]
+        ys = inc._y_derivatives(y, w, 2)
+        for order in (0, 1):
+            for a, b in zip(inc._y_derivatives(y, w, order), ys):
+                np.testing.assert_array_equal(a, b)
+        for fn, d in zip((inc.y_cumulant, inc.y_cumulant_d1, inc.y_cumulant_d2), ys):
+            np.testing.assert_array_equal(fn(y, w), d)
+
+
 @pytest.mark.parametrize("name", ["iso", "drift", "triangle_atoms", "graph_pm1", "reg_atoms"])
 def test_gradient_consistency_finite_differences(name, request, two_atoms):
     if name == "reg_atoms":

@@ -243,7 +243,7 @@ def test_cumulative_mass_is_linear(drift):
     for a, b in zip(theta[:-1], theta[1:]):
         angles = np.linspace(a, b, 33)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        radii = levelset._ray_radii(drift, 1.0, dirs)
+        radii, _ = levelset._ray_radii(drift, 1.0, dirs)
         pts = dirs * radii[:, None]
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         f = 1.0 / np.linalg.norm(inc.cumulant_gradient(drift, pts), axis=1)
@@ -291,16 +291,36 @@ def test_ray_radii_cold_and_warm(model, alpha, shift):
     if np.any(mu):
         dirs = np.vstack([dirs, -mu / np.linalg.norm(mu)])  # the anti-drift ray
     tol = levelset._RAY_TOL * max(1.0, alpha)
-    cold = levelset._ray_radii(model, alpha, dirs)
+    cold, _ = levelset._ray_radii(model, alpha, dirs)
     assert np.all(np.abs(lh.cumulant(model, dirs * cold[:, None]) - alpha) <= tol)
     factors = np.roll(np.geomspace(0.1, 10.0, len(dirs)), shift)
-    warm = levelset._ray_radii(model, alpha, dirs, r0=factors * cold)
+    warm, _ = levelset._ray_radii(model, alpha, dirs, r0=factors * cold)
     assert np.all(np.abs(lh.cumulant(model, dirs * warm[:, None]) - alpha) <= tol)
     np.testing.assert_allclose(warm, cold, rtol=1e-9)
     # an exhausted round budget must raise, not return
     with patch.object(inc, "_ROOT_ROUNDS", 3), pytest.raises(NoConvergenceError):
         levelset._ray_radii(model, alpha, dirs)
 
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        lh.gaussian([1.0, 0.3], [[1.0, 0.4], [0.4, 0.6]]),
+        lh.atoms([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [1 / 3] * 3),
+        lh.atoms([[2.0, 2.0], [-2.0, 2.0], [2.0, -2.0], [-2.0, -2.0]], [0.25] * 4, 1e-2),
+    ],
+    ids=["gauss", "triangle", "square-eps1e-2"],
+)
+def test_mass_density_reuses_the_last_ray_slope(model):
+    # the last Newton round evaluates every ray at the radius it returns, so the
+    # slope it leaves is d . grad K(r d) at the returned radii, bit for bit
+    dirs = levelset._ring_rule(model, 64)[0]
+    cold, _ = levelset._mass_density(model, 0.7, dirs)
+    for r0 in (None, 1.3 * cold, np.roll(cold, 5)):
+        r, density = levelset._mass_density(model, 0.7, dirs, r0)
+        g = inc.cumulant_gradient(model, dirs * r[:, None])
+        assert density.tobytes() == (r / np.einsum("ij,ij->i", dirs, g)).tobytes()
 
 def test_ray_roots_pinned_between_adjacent_floats():
     # N((1, 0), 0.01 I): K = u1 + |u|^2/200; on some rays the residual at the
@@ -318,5 +338,5 @@ def test_ray_radius_against_the_drift(drift):
     for alpha in (0.1, 1.0, 10.0):
         root = 1.0 + math.sqrt(1.0 + 2.0 * alpha)
         for r0 in (None, np.full(1, 0.5 * root)):
-            r = levelset._ray_radii(drift, alpha, np.array([[-1.0, 0.0]]), r0=r0)
+            r, _ = levelset._ray_radii(drift, alpha, np.array([[-1.0, 0.0]]), r0=r0)
             assert r[0] == pytest.approx(root, rel=1e-12)

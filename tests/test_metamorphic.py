@@ -2,7 +2,8 @@
 affine image relation (regularized and graph laws included), rotation
 invariance, reflection of the candidate set, each arc's reverse traversal,
 the energy of a trajectory as the rate integral along it, monotonicity in the
-area and the discretized oracle as an upper bound."""
+area, the envelope identity dJ/da = |multiplier| and the discretized oracle as
+an upper bound."""
 
 import dataclasses
 import math
@@ -251,3 +252,31 @@ def test_reflection_maps_the_candidate_set_to_itself(law):
         assert np.linalg.norm(d.ell - REFLECT @ c.ell) <= 1e-9
         assert d.energy == pytest.approx(c.energy, rel=1e-11)
         np.testing.assert_allclose(d.trajectory.points, c.trajectory.points @ REFLECT, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model, a",
+    [
+        (lh.gaussian([1.0, 0.0], np.eye(2)), 0.05),
+        (lh.gaussian([1.0, 0.0], np.eye(2)), 0.2),
+        (lh.gaussian([0.0, 0.0], np.eye(2)), 0.05),
+        (lh.gaussian([0.0, 0.0], np.eye(2)), 0.2),
+        (lh.atoms(*TRIANGLE), 0.05),
+        (lh.atoms(*TRIANGLE), 0.2),
+        (lh.graph1d(1.0, lh.atoms1d([1.0, -1.0], [0.5, 0.5])), 0.1),
+        (lh.graph1d(1.0, lh.atoms1d([1.0, -1.0], [0.5, 0.5])), 0.2),
+        (lh.graph1d(1.3, lh.gaussian1d(0.2, 2.0)), 0.3),
+    ],
+    ids=["drift-0.05", "drift-0.2", "iso-0.05", "iso-0.2", "triangle-0.05", "triangle-0.2",
+         "pm1-graph-0.1", "pm1-graph-0.2", "gauss-graph-0.3"],
+)
+def test_envelope_identity(model, a):
+    # the multiplier of the area constraint is the derivative of the optimal
+    # energy in the area: dJ/da = |multiplier| of the lead candidate (tau *
+    # arc mass on level sets, 2 u/mu1 on graph laws)
+    h = 1e-4 * a
+    slope = (lh.rate_of_area(model, a + h).rate - lh.rate_of_area(model, a - h).rate) / (2 * h)
+    res = lh.rate_of_area(model, a)
+    lead = res.candidates[0]
+    assert lead.energy == res.rate
+    assert slope == pytest.approx(abs(lead.multiplier), rel=1e-6)
