@@ -490,28 +490,37 @@ def is_centrally_symmetric(model: IncrementModel) -> bool:
 # ---------------------------------------------------------------------------
 # JSON distribution specs
 
+def _holds_bool(x) -> bool:
+    items = x.values() if isinstance(x, dict) else x if isinstance(x, list) else ()
+    return isinstance(x, bool) or any(map(_holds_bool, items))
+
+
 def from_spec(spec: dict) -> IncrementModel:
-    """Build a model from its JSON dict form (see :func:`to_spec`); a field of
-    the wrong type (``null`` for a number, a number for a sub-spec) is a
-    ValueError that names the spec type."""
+    """Build a model from its JSON dict form (see :func:`to_spec`); a missing
+    field, a JSON boolean anywhere, or a field of the wrong type (``null`` for
+    a number, a number for a sub-spec) is a ValueError that names the spec type."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("distribution spec must be a dict with a 'type' key")
-    eps = spec.get("eps", 0.0)
     t = spec["type"]
+    if _holds_bool(spec):
+        raise ValueError(f"{t!r} distribution spec holds a boolean where a number belongs")
+    eps, where = spec.get("eps", 0.0), ""
     try:
         if t == "gaussian":
             return gaussian(spec["mean"], spec["cov"], eps)
         if t == "atoms":
             return atoms(spec["points"], spec["probs"], eps)
         if t == "graph1d":
-            y = spec["y"]
+            mu1, y, where = spec["mu1"], spec["y"], "y."
             if y["type"] == "gaussian1d":
                 sub = gaussian1d(y.get("mean", 0.0), y["var"])
             elif y["type"] == "atoms1d":
                 sub = atoms1d(y["points"], y["probs"])
             else:
                 raise ValueError(f"unknown y-model type {y['type']!r}")
-            return graph1d(spec["mu1"], sub, eps)
+            return graph1d(mu1, sub, eps)
+    except KeyError as exc:
+        raise ValueError(f"{t!r} distribution spec lacks the field {where + exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"malformed {t!r} distribution spec: {exc}") from None
     raise ValueError(f"unknown distribution type {t!r}")

@@ -18,8 +18,8 @@ S (cos phi, sin phi) with S = Hess K(0)^{-1/2}, which spreads them evenly
 over an elongated level set.  The public functions double the node count
 until the values on n and 2n nodes agree to a relative tolerance and raise
 :class:`NoConvergenceError` past ``_N_CAP`` nodes.  Ray solves within one
-rule are one vectorized batch; results are deterministic.  The mass density
-reuses d . g from the ray solve's last round, taken at the radii it returns.
+rule are one batch, which gives area, mass and mass density (d . g from the
+last Newton round); no rule's rays are solved twice.  Results are deterministic.
 
 The level equations of the optimal trajectories are solved here as well.
 The level of a target area matches d sqrt(area)/d alpha, taken from the
@@ -177,9 +177,9 @@ def _whitener(model) -> np.ndarray:
 
 
 def _ring_rule(model, n: int):
-    """Periodic trapezoid rule, n nodes on the whole level set: (directions, d theta weights)."""
+    """Periodic trapezoid rule, n nodes in phi on the level set: (directions, d theta/d phi, weights)."""
     dirs, jac = _whitened(_whitener(model), 2.0 * np.pi / n * np.arange(n))
-    return dirs, (2.0 * np.pi / n) * jac
+    return dirs, jac, 2.0 * np.pi / n
 
 
 def _arc_dirs(model, ell: np.ndarray, tau: int, x: np.ndarray):
@@ -223,33 +223,27 @@ def _fejer(n: int):
 
 
 def _arc_rule(model, ell: np.ndarray, tau: int, n: int):
-    """Fejer rule, n nodes on one arc: (directions, d theta weights)."""
+    """Fejer rule, n nodes on one arc in x: (directions, d theta/dx, x weights)."""
     x, w = _fejer(n)
-    dirs, jac = _arc_dirs(model, ell, tau, x)
-    return dirs, w * jac
-
-
-def _mass_density(model, alpha, dirs, r0=None):
-    """Ray radii r and the coarea mass per unit angle r/(d . grad K(r d)), slopes reused."""
-    r, slope = _ray_radii(model, alpha, dirs, r0=r0)
-    return r, r / slope
+    return _arc_dirs(model, ell, tau, x) + (w,)
 
 
 def _quadrature(model, alpha, rule, r0=None):
-    """(area, mass, radii) on one polar rule; the radii serve as warm starts."""
-    dirs, weights = rule
-    r, mass = _mass_density(model, alpha, dirs, r0)
-    return 0.5 * float(weights @ (r * r)), float(weights @ mass), r
+    """(area, mass, radii, mass per unit of the rule's parameter) on one polar rule."""
+    dirs, jac, w = rule
+    r, slope = _ray_radii(model, alpha, dirs, r0=r0)
+    weights, density = w * jac, r / slope
+    return 0.5 * float(weights @ (r * r)), float(weights @ density), r, jac * density
 
 
 def _settled(model, alpha, rule_of, rtol: float):
-    """(area, mass, n, radii) on ``rule_of(n)`` for the first n, doubling from
+    """(area, mass, n, density) on ``rule_of(n)`` for the first n, doubling from
     ``_N0``, at which area and mass agree with those on n/2 nodes to ``rtol``."""
     n, prev = _N0, None
     while True:
-        area, mass, r = _quadrature(model, alpha, rule_of(n))
+        area, mass, _, density = _quadrature(model, alpha, rule_of(n))
         if prev is not None and np.allclose((area, mass), prev, rtol=rtol, atol=0.0):
-            return area, mass, n, r
+            return area, mass, n, density
         if 2 * n > _N_CAP:
             raise NoConvergenceError(f"level-set quadrature unsettled at rtol={rtol:g}, {n} nodes")
         prev, n = (area, mass), 2 * n
@@ -262,7 +256,7 @@ def sublevel_area(model: inc.IncrementModel, alpha: float, rtol: float = _REFINE
 
 
 def _arc_settled(model, alpha, ell, tau, rtol, what):
-    """(unit ell, tau, area, mass, n, radii): :func:`_settled` on the arc's rules."""
+    """(unit ell, tau, area, mass, n, density): :func:`_settled` on the arc's rules."""
     _check_args(model, alpha, what)
     ell, tau = _unit(ell), _check_tau(tau)
     return (ell, tau) + _settled(model, alpha, lambda n: _arc_rule(model, ell, tau, n), rtol)
@@ -294,7 +288,7 @@ def arc_parametrization(
     """Equal-mass arc parametrization with n + 1 samples.
 
     Area and mass settle to ``rtol`` as in :func:`half_area` and
-    :func:`arc_mass`.  The mass density at the settled rule's Chebyshev
+    :func:`arc_mass`.  The settled rule's mass density at its Chebyshev
     points gives, by a DCT, the cumulative-mass series, inverted at the
     equal-mass targets by safeguarded Newton; each inverted angle is re-solved
     on the level set, so K(g(t)) = alpha holds to ray-solve accuracy at every
@@ -302,10 +296,9 @@ def arc_parametrization(
     """
     if n < 2:
         raise ValueError("need at least 2 segments")
-    ell, tau, area, mass, deg, r = _arc_settled(model, alpha, ell, tau, rtol, "arc_parametrization")
-    dirs, jac = _arc_dirs(model, ell, tau, _fejer(deg)[0])
+    ell, tau, area, mass, deg, density = _arc_settled(model, alpha, ell, tau, rtol, "arc_parametrization")
     cheb = np.polynomial.chebyshev
-    coef = _dct(jac * _mass_density(model, alpha, dirs, r)[1], 2) / deg
+    coef = _dct(density, 2) / deg
     coef[0] *= 0.5
     # a tail below 1e-14 mass moves no sample (the inversion stops at 1e-12 mass)
     tail = np.cumsum(np.abs(coef[::-1]))[::-1]
@@ -346,7 +339,7 @@ def _solve_level(model, target: float, ell=None, tau: int = +1):
 
         def slope(alpha: float) -> float:
             nonlocal radii, last
-            area, mass, radii = _quadrature(model, alpha, rule, radii)
+            area, mass, radii, _ = _quadrature(model, alpha, rule, radii)
             last = alpha
             return mass / (2.0 * math.sqrt(max(area, 1e-300)))
 
@@ -378,7 +371,7 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
         if cap_slope is None:
             raise NoConvergenceError("level solve found no root on the small-alpha side")
         # the area reached at the cap level (A/M^2 of each half), on the finest rule
-        full, mass, _ = _quadrature(model, inc._ALPHA_HI_CAP, _ring_rule(model, _N_CAP))
+        full, mass = _quadrature(model, inc._ALPHA_HI_CAP, _ring_rule(model, _N_CAP))[:2]
         raise OutOfRangeError(
             "target area at or beyond the attainable range", a_max=2.0 * full / mass ** 2
         )

@@ -5,8 +5,9 @@ a cumulant level set; ``levelset`` solves for their level and for the cut
 directions ``ell`` (centrally symmetric chords of the level set).  This
 module composes the candidates: it seeds the directions, settles each arc's
 direction/level fixed point and traverses the arc in either orientation.
-Each arc is solved once; its reverse traversal (-ell, -tau) is derived from
-it, so mirror energies tie exactly.  A candidate's energy is 2A/M - alpha
+Each distinct arc is solved once; its reverse traversal (-ell, -tau) and, for
+a centrally symmetric law, its point reflection (ell, -tau) are derived from
+it, so their energies tie exactly.  A candidate's energy is 2A/M - alpha
 from its arc's half area A and mass M.  Graph models (support on a vertical
 line) have an explicit two-curve solution driven by the vertical cumulant.
 All candidate evaluations are independent and deterministic.
@@ -111,15 +112,16 @@ class GraphSolution:
 # ---------------------------------------------------------------------------
 # Trajectories
 
-def _build(model, alpha, ell, tau, n) -> tuple[Trajectory, float]:
+def _candidate(model, alpha, ell, tau, n) -> Candidate:
+    ell = _unit(ell)
     arc = arc_parametrization(model, alpha, ell, tau, n, rtol=_settle_rtol(alpha))
     pts = -(1.0 / (arc.tau * arc.mass)) * _perp(arc.samples - arc.samples[0])
     pts[0] = 0.0
     derivs = inc.cumulant_gradient(model, arc.samples)
-    # the energy integral of (u . grad K - alpha)/|grad K| in arc length is
-    # 2 area - alpha mass (u . grad K/|grad K| is the support function)
+    # energy integral 2 area - alpha mass: u . grad K/|grad K| is the support function
     energy = 2.0 * arc.area / arc.mass - alpha
-    return Trajectory(arc.times, pts, derivs, arc.samples, energy=energy), arc.mass
+    traj = Trajectory(arc.times, pts, derivs, arc.samples, energy=energy)
+    return Candidate(float(alpha), ell, arc.tau, traj, float(energy), arc.tau * arc.mass)
 
 
 def build_trajectory(
@@ -134,22 +136,19 @@ def build_trajectory(
     the arc-length integral of the conjugate identity (u . grad K(u) - alpha)
     along the arc, divided by the mass.
     """
-    return _build(model, alpha, _unit(ell), tau, n)[0]
+    return _candidate(model, alpha, ell, tau, n).trajectory
 
 
-def _candidate(model, alpha, ell, tau, n) -> Candidate:
-    traj, lam = _build(model, alpha, _unit(ell), tau, n)
-    return Candidate(float(alpha), _unit(ell), int(tau), traj, float(traj.energy), tau * lam)
-
-
-def _reversed(c: Candidate) -> Candidate:
-    """The arc of ``c`` traversed from its other end: (-ell, -tau), with
-    trajectory h(1) - h(1 - t), reversed derivatives and duals, the same
-    energy and the negated multiplier."""
-    t = c.trajectory
-    derivs, duals = t.derivs[::-1].copy(), t.duals[::-1].copy()
-    traj = Trajectory(t.times, t.points[-1] - t.points[::-1], derivs, duals, energy=t.energy)
-    return Candidate(c.alpha, -c.ell, -c.tau, traj, c.energy, -c.multiplier)
+def _derived(model, c: Candidate, reflect: bool) -> Candidate:
+    """The dual arc g of ``c`` run from its other end: the arc (-ell, -tau) with
+    trajectory h(1) - h(1 - t), or, reflected, -g(1 - t), the other half (ell, -tau)
+    of a centrally symmetric level set, with h(1 - t) - h(1).  Same energy, negated
+    multiplier, derivatives grad K(duals) (not -grad K(g) bit for bit on atom laws)."""
+    t, sign = c.trajectory, (-1.0 if reflect else 1.0)
+    pts = t.points[::-1] - t.points[-1] if reflect else t.points[-1] - t.points[::-1]
+    duals = sign * t.duals[::-1]
+    traj = Trajectory(t.times, pts, inc.cumulant_gradient(model, duals), duals, energy=t.energy)
+    return Candidate(c.alpha, -sign * c.ell, -c.tau, traj, c.energy, -c.multiplier)
 
 
 def _solve_candidate(model, theta, tau, area, n, k):
@@ -184,9 +183,9 @@ def _solve_candidate(model, theta, tau, area, n, k):
 
 def _ordered(cands: list[Candidate]) -> list[Candidate]:
     """Candidates by energy; those within ``_TIE_RTOL`` of the lowest energy
-    left are ordered by (angle of ell, tau).  The arcs (ell, tau) and
-    (-ell, -tau) are one arc traversed from opposite ends, with one energy,
-    so the angle decides which of them leads."""
+    left are ordered by (angle of ell, tau).  A derived candidate has its
+    solved arc's energy, so the angle decides between an arc's two traversals
+    and tau between the two halves of a centrally symmetric level set."""
     rest = sorted(cands, key=lambda c: c.energy)
     out: list[Candidate] = []
     while rest:
@@ -199,9 +198,8 @@ def _ordered(cands: list[Candidate]) -> list[Candidate]:
 
 def _solve_full_plane(model, area, directions, n) -> RateResult:
     if inc.is_centrally_symmetric(model):
-        alpha = symmetric_level(model, area)
-        ell = np.array([1.0, 0.0])
-        cands = [_candidate(model, alpha, ell, tau, n) for tau in (+1, -1)]
+        cand = _candidate(model, symmetric_level(model, area), np.array([1.0, 0.0]), -1, n)
+        cands = [cand, _derived(model, cand, reflect=True)]
     else:
         seed_alpha, cap = _solve_level(model, 1.0 / math.sqrt(2.0 * area))
         if seed_alpha is None:
@@ -215,7 +213,7 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
             if cand is not None and not any(
                 d.tau == cand.tau and np.linalg.norm(d.ell - cand.ell) <= 1e-9 for d in cands
             ):
-                cands += [cand, _reversed(cand)]
+                cands += [cand, _derived(model, cand, reflect=False)]
         if not cands:
             raise NoCandidateError("no admissible (level, direction, orientation) triple: " + (
                 "no seeded arc has a level root with a chord at the target area" if cap is None

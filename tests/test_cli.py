@@ -282,6 +282,31 @@ def test_wrong_typed_spec_field_is_one_line_error(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("error:") and spec["type"] in err and len(err.splitlines()) == 1
 
+
+EYE = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"type": "gaussian", "mean": [0, 0]}, "'cov'"),
+        ({"type": "graph1d", "mu1": 1, "y": {"var": 1}}, "'y.type'"),
+        ({"type": "graph1d", "mu1": True, "y": {"type": "gaussian1d", "var": 1}}, "boolean"),
+        ({"type": "gaussian", "mean": [0, 0], "cov": EYE, "eps": True}, "boolean"),
+        ({"type": "gaussian", "mean": [True, 0], "cov": EYE}, "boolean"),
+    ],
+    ids=["missing-cov", "missing-y-type", "true-mu1", "true-eps", "true-in-mean"],
+)
+def test_missing_or_boolean_spec_field_is_one_line_error(tmp_path, capsys, spec, named):
+    # a missing field is named with the spec type; a JSON boolean is no number
+    # (json.dumps writes True as true, which float() would read as 1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["rate", "--dist", str(path), "--area", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec['type']!r} distribution spec") and named in err
+    assert len(err.splitlines()) == 1
+
 def test_json_floats_round_trip(specs, tmp_path):
     out = tmp_path / "rate.json"
     main(["rate", "--dist", specs["gauss_iso.json"], "--area", "0.7", "--output", str(out)])

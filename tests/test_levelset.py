@@ -136,7 +136,7 @@ def test_ring_slope_is_root_two_arc_slopes_on_square_law(square_atoms, alpha, th
     # central symmetry: the ring has twice the area and twice the mass of each half
     ell = np.array([math.cos(theta), math.sin(theta)])
     def slope(rule):
-        area, mass, _ = levelset._quadrature(square_atoms, alpha, rule)
+        area, mass = levelset._quadrature(square_atoms, alpha, rule)[:2]
         return mass / (2.0 * math.sqrt(area))
 
     ring = slope(levelset._ring_rule(square_atoms, 256))
@@ -199,6 +199,18 @@ def test_arc_parametrization_carries_the_settled_area_and_mass(drift):
     arc = lh.arc_parametrization(drift, 1.5, ell, tau, n=64, rtol=1e-12)
     assert arc.mass == lh.arc_mass(drift, 1.5, ell, tau, rtol=1e-12)
     assert arc.area == lh.half_area(drift, 1.5, ell, tau, rtol=1e-12)
+
+
+def test_arc_parametrization_solves_each_ray_once(drift, monkeypatch):
+    # the settle's doubling rules, then the n + 1 samples: the mass series comes
+    # from the settled rule's density, with no second solve of its rays
+    sizes, ray_radii = [], levelset._ray_radii
+    monkeypatch.setattr(
+        levelset, "_ray_radii", lambda m, a, d, r0=None: sizes.append(len(d)) or ray_radii(m, a, d, r0)
+    )
+    lh.arc_parametrization(drift, 1.5, [0.0, 1.0], -1, n=64)
+    assert sizes[:-1] == [32 * 2 ** k for k in range(len(sizes) - 1)] and len(sizes) >= 3
+    assert sizes[-1] == 65
 
 
 def test_arc_parametrization_circle(iso):
@@ -315,12 +327,13 @@ def test_ray_radii_cold_and_warm(model, alpha, shift):
 def test_mass_density_reuses_the_last_ray_slope(model):
     # the last Newton round evaluates every ray at the radius it returns, so the
     # slope it leaves is d . grad K(r d) at the returned radii, bit for bit
-    dirs = levelset._ring_rule(model, 64)[0]
-    cold, _ = levelset._mass_density(model, 0.7, dirs)
+    rule = levelset._ring_rule(model, 64)
+    dirs, jac = rule[:2]
+    cold = levelset._quadrature(model, 0.7, rule)[2]
     for r0 in (None, 1.3 * cold, np.roll(cold, 5)):
-        r, density = levelset._mass_density(model, 0.7, dirs, r0)
+        _, _, r, density = levelset._quadrature(model, 0.7, rule, r0)
         g = inc.cumulant_gradient(model, dirs * r[:, None])
-        assert density.tobytes() == (r / np.einsum("ij,ij->i", dirs, g)).tobytes()
+        assert density.tobytes() == (jac * (r / np.einsum("ij,ij->i", dirs, g))).tobytes()
 
 def test_ray_roots_pinned_between_adjacent_floats():
     # N((1, 0), 0.01 I): K = u1 + |u|^2/200; on some rays the residual at the

@@ -1,7 +1,7 @@
 """Relations the rate function must satisfy whatever the quadrature: the
 affine image relation (regularized and graph laws included), rotation
 invariance, reflection of the candidate set, each arc's reverse traversal,
-the energy of a trajectory as the rate integral along it, monotonicity in the
+a centrally symmetric law's point reflection, the energy of a trajectory as the rate integral along it, monotonicity in the
 area, the envelope identity dJ/da = |multiplier| and the discretized oracle as
 an upper bound."""
 
@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import ldp_hull as lh
 from ldp_hull import increments as inc
+from ldp_hull import solver
+from ldp_hull.errors import OutOfRangeError
 
 TRIANGLE = ([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [1 / 3] * 3)
 # a full-plane law whose symmetric chords drift far with the level
@@ -140,6 +142,48 @@ def test_reverse_traversal_matches_a_fresh_solve(model, a):
         np.testing.assert_allclose(fresh.points, partner.trajectory.points, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fresh.derivs, partner.trajectory.derivs, rtol=0, atol=1e-12)
         assert fresh.energy == pytest.approx(partner.energy, rel=1e-12, abs=0)
+
+
+@st.composite
+def centrally_symmetric_laws(draw):
+    """A zero-mean Gaussian with a random SPD covariance, or 2-3 atom pairs
+    {+p_i, -p_i} with paired masses at eps 0 or 1e-2, and an area."""
+    R = rotation(draw(st.floats(0.0, math.pi)))
+    if draw(st.booleans()):
+        cov = R @ np.diag([draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))]) @ R.T
+        return lh.gaussian([0.0, 0.0], cov), draw(st.floats(0.05, 1.5))
+    k = draw(st.integers(2, 3))
+    phis = [math.pi * (i + draw(st.floats(-0.3, 0.3))) / k for i in range(k)]
+    radii = [draw(st.floats(0.5, 2.0)) for _ in range(k)]
+    half = np.array([[r * math.cos(p), r * math.sin(p)] for r, p in zip(radii, phis)]) @ R.T
+    w = np.array([draw(st.floats(0.2, 1.0)) for _ in range(k)])
+    law = lh.atoms(np.vstack([half, -half]), np.tile(w / (2.0 * w.sum()), 2), draw(st.sampled_from([0.0, 1e-2])))
+    return law, min(radii) ** 2 * draw(st.floats(0.02, 0.3))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(law=centrally_symmetric_laws())
+def test_point_reflection_matches_a_fresh_solve(law):
+    # -g(1 - t) is the other half of a centrally symmetric level set: the listed
+    # (ell, +1) candidate, derived from the solved (ell, -1) one, equals a
+    # candidate built afresh, ties its energy exactly and starts at +0.0
+    model, a = law
+    assert inc.is_centrally_symmetric(model)
+    try:
+        result = lh.rate_of_area(model, a)
+    except OutOfRangeError:
+        reject()
+    solved, derived = result.candidates
+    assert (solved.tau, derived.tau) == (-1, +1)
+    assert derived.energy == solved.energy == result.rate
+    fresh = solver._candidate(result.model, derived.alpha, (1.0, 0.0), +1, 1024)
+    assert derived.alpha == fresh.alpha and np.array_equal(derived.ell, fresh.ell)
+    assert derived.energy == pytest.approx(fresh.energy, rel=1e-12, abs=0)
+    assert derived.multiplier == pytest.approx(fresh.multiplier, rel=1e-12, abs=0)
+    for field in ("points", "derivs", "duals"):
+        got, want = getattr(derived.trajectory, field), getattr(fresh.trajectory, field)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert not np.signbit(derived.trajectory.points[0]).any()
 
 
 REGULARIZED = {

@@ -152,13 +152,13 @@ def test_rate_of_area_at_tiny_areas(request, law, a, rel):
 @pytest.mark.parametrize("law, a", [("drift", 1.0), ("triangle_atoms", 0.2), ("iso", 1.0)])
 def test_one_mass_per_solved_arc(request, law, a):
     # the multiplier, the trajectory scale and the energy 2A/M - alpha come from
-    # one settle of the arc's area A and mass M; a reverse traversal carries its
-    # solved partner's values (ell in the lower half-plane, or both arcs of a
-    # centrally symmetric law, are the solved ones)
+    # one settle of the arc's area A and mass M; a derived candidate carries its
+    # solved partner's values (ell in the lower half-plane, or the tau = -1 arc
+    # of a centrally symmetric law, are the solved ones)
     model = request.getfixturevalue(law)
     res = lh.rate_of_area(model, a)
     symmetric = lh.is_centrally_symmetric(model)
-    solved = [c for c in res.candidates if symmetric or c.ell[1] < 0.0]
+    solved = [c for c in res.candidates if (c.tau == -1 if symmetric else c.ell[1] < 0.0)]
     assert solved
     for c in solved:
         rtol = levelset._settle_rtol(c.alpha)
@@ -166,6 +166,18 @@ def test_one_mass_per_solved_arc(request, law, a):
         area = lh.half_area(model, c.alpha, c.ell, c.tau, rtol=rtol)
         assert c.multiplier == c.tau * mass
         assert c.energy == 2.0 * area / mass - c.alpha
+
+
+@pytest.mark.parametrize("law, a, eps", [("iso", 1.0, None), ("square_atoms", 0.2, 1e-2)])
+def test_centrally_symmetric_law_solves_one_arc(request, monkeypatch, law, a, eps):
+    # the (ell, +1) half is the point reflection of the solved (ell, -1) arc
+    arcs, parametrize = [], solver.arc_parametrization
+    monkeypatch.setattr(
+        solver, "arc_parametrization", lambda *args, **kw: arcs.append(args[3]) or parametrize(*args, **kw)
+    )
+    res = lh.rate_of_area(request.getfixturevalue(law), a, eps=eps)
+    assert arcs == [-1]
+    assert [c.tau for c in res.candidates] == [-1, +1]
 
 
 def test_rate_monotone_in_area(drift):
