@@ -121,7 +121,6 @@ def _rate_payload(args, res: solver.RateResult, config: dict) -> dict:
         "area": res.area,
         "rate": res.rate,
         "eps_applied": res.eps_applied,
-        "ladder": None if res.ladder is None else [[e, r] for e, r in res.ladder],
         "candidates": [_candidate_dict(c) for c in res.candidates],
     }
 

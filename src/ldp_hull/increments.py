@@ -14,9 +14,10 @@ Each law's K, grad K and Hess K come from one kernel, :func:`_derivatives`
 softmax for atoms, one eps lift and only the orders asked for; the public
 cumulant functions and :func:`drift` select from it.
 
-Every monotone scalar equation of the package is solved here: batched by
-the safeguarded Newton :func:`_increasing_root`, on one bracket by Brent's
-method :func:`_brent`, and on (0, inf) by :func:`_solve_decreasing`.
+Every monotone scalar equation of the package is solved by one root finder,
+the batched safeguarded Newton :func:`_increasing_root`, with the exact
+derivative its caller has at hand; :func:`_solve_decreasing` grows its
+bracket on (0, inf).
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ _COLLINEAR_TOL = 1e-12
 _ROOT_ROUNDS = 200
 _SYMMETRY_TOL = 1e-10  # relative gap of K(u) and K(-u) on the probe grid
 _GROW = 16.0  # bracket expansion factor: a no-root exit costs about 12 evaluations
-_ROOT_RTOL = 1e-13
-_BRENT_MAXITER = 100
-_EPS = float(np.finfo(float).eps)
 _ALPHA_HI_CAP = 1e12
 _ALPHA_LO_CAP = 1e-14
 
@@ -251,81 +249,48 @@ def _increasing_root(fn, x0, lo, hi, ftol, xtol=math.inf) -> np.ndarray:
     )
 
 
-def _brent(f, xa, xb, fa, fb, xtol: float, rtol: float) -> float:
-    """Root of f on [xa, xb] from fa = f(xa), fb = f(xb) of opposite signs (or zero) by
-    Brent's method (1973, ch. 4) step for step as scipy's ``brentq``: done once half the
-    bracket is below (xtol + rtol |x|)/2; NoConvergenceError after ``_BRENT_MAXITER`` rounds."""
-    if not xtol > 0.0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if not rtol >= 4.0 * _EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * _EPS:g})")
-    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless a good short step is found
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:  # a division by an underflowed 0 bisects, as its inf or nan does in C
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise ValueError(f"f({xcur!r}) is NaN")
-    raise NoConvergenceError(f"Brent's method: no root in {_BRENT_MAXITER} iterations, x={xcur!r}")
-
-
-def _solve_decreasing(fn, target: float):
-    """Root of a strictly decreasing fn(alpha) = target on (0, inf).
+def _solve_decreasing(fn, target: float, rtol=lambda alpha: 1e-14):
+    """Root of a strictly decreasing fn(alpha) = target on (0, inf), where
+    ``fn`` returns the value and the derivative.
 
     The bracket grows from alpha = 1 by the factor ``_GROW`` until it holds a
-    sign change, then :func:`_brent` solves in it.  Returns (alpha, None) on
-    success.  (None, slope_at_cap) means the target undershoots the attainable
-    range (the area is too large); (None, None) means it overshoots on the
+    sign change; then :func:`_increasing_root` solves in log alpha, from the
+    larger Newton step off the bracket's ends, to |fn - target| <= rtol(alpha)
+    |target| (absolute at target 0).  Returns (alpha, None) on success.
+    (None, value at cap) means the target undershoots the attainable range
+    (the area is too large); (None, None) means it overshoots on the
     small-alpha side, so this branch has no root.
     """
     lo = hi = 1.0
     f_lo = f_hi = fn(1.0)
-    if f_lo > target:
-        while f_hi > target:
+    if f_lo[0] > target:
+        while f_hi[0] > target:
             if hi >= _ALPHA_HI_CAP:
-                return None, f_hi
+                return None, f_hi[0]
             lo, f_lo = hi, f_hi
             hi = min(hi * _GROW, _ALPHA_HI_CAP)
             f_hi = fn(hi)
     else:
-        while f_lo <= target:
+        while f_lo[0] <= target:
             hi, f_hi = lo, f_lo
             lo /= _GROW
             if lo < _ALPHA_LO_CAP:
                 return None, None
             f_lo = fn(lo)
-    g = lambda a: fn(a) - target
-    return _brent(g, lo, hi, f_lo - target, f_hi - target, _ROOT_RTOL * lo, _ROOT_RTOL), None
+    if f_hi[0] == target:
+        return hi, None
+
+    def g(x):  # over the tolerance at alpha: the Newton step stays, the stop test is |g| <= 1
+        alpha = math.exp(x)
+        value, slope = fn(alpha)
+        tol = np.float64(rtol(alpha) * (abs(target) or 1.0))  # a zero slope then steps to inf
+        return (target - value) / tol, -alpha * slope / tol
+
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    # Newton steps off either end fall short of the root where target - fn is concave in log alpha
+    steps = [math.log(a) + (target - f[0]) / (a * f[1]) for a, f in ((lo, f_lo), (hi, f_hi)) if a * f[1] < 0.0]
+    x0 = max([x for x in steps if x_lo < x < x_hi], default=0.5 * (x_lo + x_hi))
+    return math.exp(float(_increasing_root(g, x0, x_lo, x_hi, 1.0))), None
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,16 @@ S (cos phi, sin phi) with S = Hess K(0)^{-1/2}, which spreads them evenly
 over an elongated level set.  The public functions double the node count
 until the values on n and 2n nodes agree to a relative tolerance and raise
 :class:`NoConvergenceError` past ``_N_CAP`` nodes.  Ray solves within one
-rule are one batch, which gives area, mass and mass density (d . g from the
-last Newton round); no rule's rays are solved twice.  Results are deterministic.
+rule are one batch, which gives area, mass, mass density (g from the last
+Newton round) and d mass/d alpha; no rule's rays are solved twice.
 
-The level equations of the optimal trajectories are solved here as well.
-The level of a target area matches d sqrt(area)/d alpha, taken from the
-coarea identity (mass over twice the root area, never finite differences),
-to the target on one fixed polar rule, and solves again on more nodes until
-area and mass settle at the root.  The cut directions ``ell`` are those
-where the level set meets the line through 0 at a centrally symmetric pair.
+The level equations of the optimal trajectories are solved here as well, by
+Newton steps with exact derivatives.  The level of a target area matches
+d sqrt(area)/d alpha, taken from the coarea identity (mass over twice the
+root area, never finite differences), to the target on one fixed polar rule,
+and solves again on more nodes until area and mass settle at the root.  The
+cut directions ``ell`` are those where the level set meets the line through
+0 at a centrally symmetric pair.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ _N0 = 32  # first node count of a settling sequence
 _N_CAP = 2 ** 13
 _INVERSE_TOL = 1e-12  # cumulative-mass residual of an inverted sample, relative to the mass
 _SETTLE_RTOL = 1e-12
-_ANGLE_XTOL = 1e-15
 
 
 class _AllDirections:
@@ -79,7 +79,8 @@ class LevelArc:
     ``ell * R_+`` (t = 0) to the one on ``ell * R_-`` (t = 1), and carry the
     equal-mass parametrization: the accumulated integral of 1/|grad K| in arc
     length up to g(t) equals t * mass, equivalently |g'(t)| equals
-    mass * |grad K(g(t))| with orientation ``tau``.  ``area`` is the half
+    mass * |grad K(g(t))| with orientation ``tau``; ``grads`` holds grad K(g(t))
+    from the samples' ray solve.  ``area`` is the half
     area of {K <= alpha} on the arc's side, settled with ``mass`` on one rule.
     """
 
@@ -89,6 +90,7 @@ class LevelArc:
     times: np.ndarray
     samples: np.ndarray
     derivs: np.ndarray
+    grads: np.ndarray
     mass: float
     area: float
 
@@ -118,7 +120,7 @@ def _check_tau(tau) -> int:
 
 def _ray_radii(model, alpha: float, dirs: np.ndarray, r0=None) -> tuple[np.ndarray, np.ndarray]:
     """Radii r > 0 with K(r * dir) = alpha for each unit row of ``dirs``, and
-    the slopes dir . grad K(r * dir) there.
+    the gradients grad K(r * dir) there.
 
     Unique because K is convex with K(0) = 0 < alpha and grows to infinity
     along every ray, so K(r * dir) - alpha is negative below the root and
@@ -126,19 +128,18 @@ def _ray_radii(model, alpha: float, dirs: np.ndarray, r0=None) -> tuple[np.ndarr
     safeguarded Newton solve on the bracket (0, inf), started from ``r0`` (the
     radii of a nearby solve) or from 1, until every residual is at most
     ``_RAY_TOL * max(1, alpha)`` or its bracket has no float inside; raises
-    :class:`NoConvergenceError` otherwise.  The slopes are those of the last
-    Newton round, which evaluates every entry at the radius it returns.
+    :class:`NoConvergenceError` otherwise.  The gradients are those of the
+    last Newton round, which evaluates every entry at the radius it returns.
     """
-    slope = None
+    grad = None
 
     def residual(r):
-        nonlocal slope
+        nonlocal grad
         K, grad = inc._derivatives(model, dirs * r[:, None], 1)
-        slope = np.einsum("ij,ij->i", dirs, grad)
-        return K - alpha, slope
+        return K - alpha, np.einsum("ij,ij->i", dirs, grad)
 
     x0 = np.ones(len(dirs)) if r0 is None else r0
-    return inc._increasing_root(residual, x0, 0.0, math.inf, _RAY_TOL * max(1.0, alpha)), slope
+    return inc._increasing_root(residual, x0, 0.0, math.inf, _RAY_TOL * max(1.0, alpha)), grad
 
 
 def level_radius(model: inc.IncrementModel, alpha: float, direction) -> float:
@@ -229,11 +230,16 @@ def _arc_rule(model, ell: np.ndarray, tau: int, n: int):
 
 
 def _quadrature(model, alpha, rule, r0=None):
-    """(area, mass, radii, mass per unit of the rule's parameter) on one polar rule."""
+    """(area, mass, radii, mass per unit of the rule's parameter, d mass/d alpha)
+    on one polar rule; d(r/(d . g))/d alpha = (1 - r d.Hd/(d . g))/(d . g)^2."""
     dirs, jac, w = rule
-    r, slope = _ray_radii(model, alpha, dirs, r0=r0)
+    r, grad = _ray_radii(model, alpha, dirs, r0=r0)
+    slope = np.einsum("ij,ij->i", dirs, grad)
+    hess = inc._derivatives(model, dirs * r[:, None], 2)[2]
     weights, density = w * jac, r / slope
-    return 0.5 * float(weights @ (r * r)), float(weights @ density), r, jac * density
+    curve = np.einsum("ij,ijk,ik->i", dirs, hess, dirs)
+    dmass = float(weights @ ((1.0 - density * curve) / (slope * slope)))
+    return 0.5 * float(weights @ (r * r)), float(weights @ density), r, jac * density, dmass
 
 
 def _settled(model, alpha, rule_of, rtol: float):
@@ -241,7 +247,7 @@ def _settled(model, alpha, rule_of, rtol: float):
     ``_N0``, at which area and mass agree with those on n/2 nodes to ``rtol``."""
     n, prev = _N0, None
     while True:
-        area, mass, _, density = _quadrature(model, alpha, rule_of(n))
+        area, mass, _, density, _ = _quadrature(model, alpha, rule_of(n))
         if prev is not None and np.allclose((area, mass), prev, rtol=rtol, atol=0.0):
             return area, mass, n, density
         if 2 * n > _N_CAP:
@@ -310,26 +316,34 @@ def arc_parametrization(
         2.0 * times[1:-1] - 1.0, -1.0, 1.0, _INVERSE_TOL * mass,
     )
     sdirs = _arc_dirs(model, ell, tau, np.concatenate([[-1.0], inner, [1.0]]))[0]
-    samples = sdirs * _ray_radii(model, alpha, sdirs)[0][:, None]
-    derivs = tau * mass * _perp(inc.cumulant_gradient(model, samples))
-    return LevelArc(float(alpha), ell, tau, times, samples, derivs, mass, area)
+    radii, grads = _ray_radii(model, alpha, sdirs)
+    samples = sdirs * radii[:, None]
+    return LevelArc(float(alpha), ell, tau, times, samples, tau * mass * _perp(grads), grads, mass, area)
 
 
 # ---------------------------------------------------------------------------
 # Level equations: the level of a target area and the chord directions
 
+def _ray_noise(alpha: float) -> float:
+    """Four times the relative ray-radius noise at level alpha: a radius is off by
+    at most _RAY_TOL max(1, alpha)/(d . g), and r (d . g) >= alpha by convexity."""
+    return 4.0 * _RAY_TOL * max(1.0, alpha) / alpha
+
+
 def _settle_rtol(alpha: float) -> float:
     """N-vs-2N gap of area and mass that counts as settled: ``_SETTLE_RTOL``,
-    or four times the relative ray-radius noise where that is larger."""
-    return max(_SETTLE_RTOL, 4.0 * _RAY_TOL * max(1.0, alpha) / alpha)
+    or the ray noise where that is larger."""
+    return max(_SETTLE_RTOL, _ray_noise(alpha))
 
 
 def _solve_level(model, target: float, ell=None, tau: int = +1):
     """:func:`increments._solve_decreasing` of alpha -> d sqrt(area)/d alpha on
     one polar rule of n nodes (the ring, or the arc of ``ell`` and ``tau``), so
-    the slope is one function of alpha, its ray radii warm-started; solved again
-    on more nodes until n reaches the count at which the area and mass settle
-    (:func:`_settled` at :func:`_settle_rtol`) at the root, or, without a root,
+    the slope M/(2 sqrt A) is one function of alpha, its ray radii warm-started,
+    and its derivative M'/(2 sqrt A) - M^2/(4 A^(3/2)) is exact; solved to the
+    ray noise relative to the target, and again on more nodes until n reaches
+    the count at which the area and mass settle (:func:`_settled` at
+    :func:`_settle_rtol`) at the root, or, without a root,
     at the smallest level tried: too few nodes underestimate the slope of a
     short arc near the origin."""
     rule_of = lambda n: _ring_rule(model, n) if ell is None else _arc_rule(model, ell, tau, n)
@@ -337,13 +351,14 @@ def _solve_level(model, target: float, ell=None, tau: int = +1):
     while True:
         rule, radii, last = rule_of(n), None, None
 
-        def slope(alpha: float) -> float:
+        def slope(alpha: float) -> tuple[float, float]:
             nonlocal radii, last
-            area, mass, radii, _ = _quadrature(model, alpha, rule, radii)
+            area, mass, radii, _, dmass = _quadrature(model, alpha, rule, radii)
             last = alpha
-            return mass / (2.0 * math.sqrt(max(area, 1e-300)))
+            root = math.sqrt(max(area, 1e-300))
+            return mass / (2.0 * root), dmass / (2.0 * root) - mass * mass / (4.0 * root ** 3)
 
-        alpha, cap = inc._solve_decreasing(slope, target)
+        alpha, cap = inc._solve_decreasing(slope, target, _ray_noise)
         if cap is not None:
             return alpha, cap
         at = alpha if alpha is not None else last
@@ -379,22 +394,24 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
 
 
 def _radius_gap(model, alpha, thetas, r0=None):
-    """r(theta) - r(theta + pi) for each angle, plus the radii for warm starts."""
-    thetas = np.atleast_1d(thetas)
+    """r(theta) - r(theta + pi) for each angle, its derivative by r'(theta) =
+    -r (perp(d) . g)/(d . g), and the radii for warm starts."""
     dirs = _dirs_of(np.concatenate([thetas, thetas + np.pi]))
-    r = _ray_radii(model, alpha, dirs, r0=r0)[0]
+    r, grad = _ray_radii(model, alpha, dirs, r0=r0)
+    dr = -r * np.einsum("ij,ij->i", _perp(dirs), grad) / np.einsum("ij,ij->i", dirs, grad)
     k = len(thetas)
-    return r[:k] - r[k:], r
+    return r[:k] - r[k:], dr[:k] - dr[k:], r
 
 
 def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
     """Directions where the level set meets the line through 0 symmetrically.
 
     Scans k angles on the half-circle for sign changes of the radius gap and
-    refines each with :func:`increments._brent`.  Centrally symmetric models
-    return the ALL_DIRECTIONS sentinel (every direction qualifies).  Each root direction
-    is returned with both signs and both orientations.  Roots of even
-    multiplicity between grid nodes can be missed; raise k to refine.
+    refines them in one Newton batch from the midpoints, each oriented by its
+    left end's sign.  Centrally symmetric models return the ALL_DIRECTIONS
+    sentinel (every direction qualifies).  Each root direction is returned
+    with both signs and both orientations.  Roots of even multiplicity between
+    grid nodes can be missed; raise k to refine.
     """
     _check_args(model, alpha, "candidate_directions")
     if k < 4:
@@ -402,30 +419,26 @@ def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
     if inc.is_centrally_symmetric(model):
         return ALL_DIRECTIONS
     thetas = np.linspace(0.0, np.pi, k, endpoint=False)
-    gaps, _ = _radius_gap(model, alpha, thetas)
+    gaps, _, r = _radius_gap(model, alpha, thetas)
     scale = 1e-12 * max(1.0, float(np.max(np.abs(gaps))))
     # scan intervals [thetas[i], ends[i]]; the gap is anti-periodic
     ends, end_gaps = np.append(thetas[1:], np.pi), np.append(gaps[1:], -gaps[0])
-    roots: list[float] = []
-    for lo, hi, g_lo, g_hi in zip(thetas, ends, gaps, end_gaps):
-        if abs(g_lo) <= scale:
-            roots.append(float(lo))
-        elif g_lo * g_hi < 0.0:
-            roots.append(_direction_root(model, alpha, lo, hi, g_lo, g_hi))
-    units = [np.array([math.cos(t), math.sin(t)]) for t in _dedup_angles(roots)]
-    return [(ell, tau) for e in units for ell in (e, -e) for tau in (+1, -1)]
-
-
-def _direction_root(model, alpha, lo, hi, g_lo, g_hi) -> float:
-    """Angle in [lo, hi] where the radius gap changes sign; ray solves warm-started."""
-    r = None
+    at_node = np.abs(gaps) <= scale
+    i = np.flatnonzero(~at_node & (gaps * end_gaps < 0.0))
+    sign, lo, hi = -np.sign(gaps[i]), thetas[i], ends[i]
+    radii = np.concatenate([r[i], r[k + i]])
 
     def gap(theta):
-        nonlocal r
-        g, r = _radius_gap(model, alpha, np.array([theta]), r0=r)
-        return g[0]
+        nonlocal radii
+        g, dg, radii = _radius_gap(model, alpha, theta, r0=radii)
+        return sign * g, sign * dg
 
-    return float(inc._brent(gap, lo, hi, g_lo, g_hi, _ANGLE_XTOL, inc._ROOT_RTOL))
+    roots = list(thetas[at_node])
+    if len(i):
+        ftol = _ray_noise(alpha) * (r[i] + r[k + i])  # of both radii
+        roots += list(inc._increasing_root(gap, 0.5 * (lo + hi), lo, hi, ftol))
+    units = [np.array([math.cos(t), math.sin(t)]) for t in _dedup_angles(roots)]
+    return [(ell, tau) for e in units for ell in (e, -e) for tau in (+1, -1)]
 
 
 def _dedup_angles(roots, tol=1e-9):

@@ -54,7 +54,6 @@ __all__ = [
     "euler_lagrange_residual_1d",
 ]
 
-_LADDER = (1e-1, 1e-2, 1e-3)
 _FIXED_POINT_ROUNDS = 30
 _TIE_RTOL = 1e-9  # candidate energies this close are ordered by (angle, tau)
 _GRAPH_NODES = 64
@@ -83,9 +82,7 @@ class RateResult:
 
     ``rate`` is the minimum candidate energy.  ``model`` is the model the
     candidates refer to (after any regularization; ``eps_applied`` reports the
-    added strength).  When the symmetric regularization ladder ran, ``ladder``
-    lists its (eps, rate) rungs, last rung kept; the ladder is reported as
-    observed, not extrapolated to a certified limit.
+    added strength).
     """
 
     area: float
@@ -93,7 +90,6 @@ class RateResult:
     rate: float
     model: inc.IncrementModel
     eps_applied: float = 0.0
-    ladder: list[tuple[float, float]] | None = None
 
 
 @dataclass
@@ -117,10 +113,9 @@ def _candidate(model, alpha, ell, tau, n) -> Candidate:
     arc = arc_parametrization(model, alpha, ell, tau, n, rtol=_settle_rtol(alpha))
     pts = -(1.0 / (arc.tau * arc.mass)) * _perp(arc.samples - arc.samples[0])
     pts[0] = 0.0
-    derivs = inc.cumulant_gradient(model, arc.samples)
     # energy integral 2 area - alpha mass: u . grad K/|grad K| is the support function
     energy = 2.0 * arc.area / arc.mass - alpha
-    traj = Trajectory(arc.times, pts, derivs, arc.samples, energy=energy)
+    traj = Trajectory(arc.times, pts, arc.grads, arc.samples, energy=energy)
     return Candidate(float(alpha), ell, arc.tau, traj, float(energy), arc.tau * arc.mass)
 
 
@@ -233,10 +228,10 @@ def rate_of_area(
     """Minimal path energy over trajectories whose hull area equals ``area``.
 
     Any model is regularized by a positive ``eps`` (a negative or non-finite
-    one is rejected).  Otherwise full-plane models are solved directly, graph
-    models take the explicit two-curve route, and centrally symmetric
-    proper-subset models without an explicit eps go through the built-in
-    ladder eps in {1e-1, 1e-2, 1e-3}, whose rungs are reported on the result.
+    one is rejected).  Otherwise full-plane models are solved directly and
+    graph models take the explicit two-curve route.  A centrally symmetric
+    proper-subset model lives on a line through 0, where walks enclose no
+    area: :class:`OutOfRangeError` with a_max = 0.
     """
     inc._check_area(area)
     if eps is not None and inc._check_eps(eps) > 0.0:
@@ -256,15 +251,8 @@ def rate_of_area(
         if eps is not None:
             raise NotFullPlaneError("a proper-subset model needs eps > 0")
         if inc.is_centrally_symmetric(model):
-            ladder = []
-            res = None
-            for rung in _LADDER:
-                res = _solve_full_plane(inc.regularize(model, rung), area, directions, samples)
-                ladder.append((rung, res.rate))
-            return replace(res, eps_applied=_LADDER[-1], ladder=ladder)
-        raise NotFullPlaneError(
-            "proper-subset support: pass eps > 0 to regularize (no symmetric ladder applies)"
-        )
+            raise OutOfRangeError("support on a line through 0: the walks enclose no area", a_max=0.0)
+        raise NotFullPlaneError("proper-subset support: pass eps > 0 to regularize")
     return _solve_full_plane(model, area, directions, samples)
 
 
@@ -278,11 +266,12 @@ _GL_NODES = np.concatenate([0.5 * (_gl_x - 1.0), 0.5 * (_gl_x + 1.0)])
 _GL_WEIGHTS = 0.5 * np.concatenate([_gl_w, _gl_w])
 
 
-def _area_slope(y, u: float) -> float:
-    """E'(u) for E(u) = integral of K_y(u s) over s in [-1, 1]."""
+def _area_slope(y, u: float) -> tuple[float, float]:
+    """E'(u) and E''(u) for E(u) = integral of K_y(u s) over s in [-1, 1]."""
     if isinstance(y, inc.Gaussian1D):
-        return (2.0 / 3.0) * y.var * u  # the mean term integrates out
-    return float(_GL_WEIGHTS @ (_GL_NODES * inc.y_cumulant_d1(y, u * _GL_NODES)))
+        return (2.0 / 3.0) * y.var * u, (2.0 / 3.0) * y.var  # the mean term integrates out
+    _, d1, d2 = inc._y_derivatives(y, u * _GL_NODES, 2)
+    return float(_GL_WEIGHTS @ (_GL_NODES * d1)), float(_GL_WEIGHTS @ (_GL_NODES ** 2 * d2))
 
 
 def _graph_a_max(mu1: float, y) -> float:
@@ -296,7 +285,8 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     """The two optimal curves for a graph model, their dual parameter and energy.
 
     Solves |mu1| E'(u) = 4 * area for the unique positive u (E' is strictly
-    increasing, so the decreasing -E' goes through the level-value solver),
+    increasing, so the decreasing -E', with its derivative -E'', goes through
+    the level-value solver),
     builds the curve pair on the dual paths (0, +-u (2t - 1)), and evaluates
     the shared energy by Gauss-Legendre quadrature of the conjugate identity
     w K_y'(w) - K_y(w) over w in [-u, u].
@@ -307,7 +297,7 @@ def graph_trajectory(model: inc.IncrementModel, area: float, n: int = 1024) -> G
     a_max = _graph_a_max(mu1, y)
     if area >= a_max:
         raise OutOfRangeError("target area at or beyond the graph-model range", a_max=a_max)
-    u, _ = inc._solve_decreasing(lambda v: -_area_slope(y, v), -4.0 * area / abs(mu1))
+    u, _ = inc._solve_decreasing(lambda v: tuple(-e for e in _area_slope(y, v)), -4.0 * area / abs(mu1))
     if u is None:
         raise NoConvergenceError("dual-parameter solve found no bracket")
 

@@ -3,9 +3,10 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
+from scipy.optimize import brentq
 
 import ldp_hull as lh
 from ldp_hull import increments as inc
@@ -331,7 +332,7 @@ def test_mass_density_reuses_the_last_ray_slope(model):
     dirs, jac = rule[:2]
     cold = levelset._quadrature(model, 0.7, rule)[2]
     for r0 in (None, 1.3 * cold, np.roll(cold, 5)):
-        _, _, r, density = levelset._quadrature(model, 0.7, rule, r0)
+        _, _, r, density, _ = levelset._quadrature(model, 0.7, rule, r0)
         g = inc.cumulant_gradient(model, dirs * r[:, None])
         assert density.tobytes() == (jac * (r / np.einsum("ij,ij->i", dirs, g))).tobytes()
 
@@ -353,3 +354,33 @@ def test_ray_radius_against_the_drift(drift):
         for r0 in (None, np.full(1, 0.5 * root)):
             r, _ = levelset._ray_radii(drift, alpha, np.array([[-1.0, 0.0]]), r0=r0)
             assert r[0] == pytest.approx(root, rel=1e-12)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), gaussian=st.booleans(), alpha=st.floats(0.2, 3.0))
+def test_chord_refinement_matches_brentq(seed, gaussian, alpha):
+    # a drawn law that is full-plane and not centrally symmetric: 4-6 atoms, or
+    # a drifted Gaussian; the batched Newton refinement of the 256-angle scan
+    # finds the chords brentq finds on the same radius gap
+    rng = np.random.default_rng(seed)
+    if gaussian:
+        m = rng.normal(size=(2, 2))
+        model = lh.gaussian(rng.normal(size=2), m @ m.T + 0.2 * np.eye(2))
+    else:
+        k = rng.integers(4, 7)
+        model = lh.atoms(rng.normal(size=(k, 2)) * 1.5, rng.dirichlet(2.0 * np.ones(k)))
+    assume(lh.support_class(model).tag == "full_plane" and not lh.is_centrally_symmetric(model))
+    thetas = np.linspace(0.0, np.pi, 256, endpoint=False)
+    gaps = levelset._radius_gap(model, alpha, thetas)[0]
+    scale = 1e-12 * max(1.0, float(np.max(np.abs(gaps))))
+    gap = lambda t: levelset._radius_gap(model, alpha, np.array([t]))[0][0]
+    ref = [t for t, g in zip(thetas, gaps) if abs(g) <= scale]
+    for lo, hi, g_lo, g_hi in zip(thetas, np.append(thetas[1:], np.pi), gaps, np.append(gaps[1:], -gaps[0])):
+        if abs(g_lo) > scale and g_lo * g_hi < 0.0:
+            ref.append(brentq(gap, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
+    found = lh.candidate_directions(model, alpha, 256)
+    got = levelset._dedup_angles([math.atan2(e[1], e[0]) for e, tau in found if tau == +1])
+    ref = levelset._dedup_angles(ref)
+    assert len(got) == len(ref) >= 1
+    for g, r in zip(got, ref):
+        assert abs(math.remainder(g - r, math.pi)) <= 1e-12, (got, ref)

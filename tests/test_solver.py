@@ -180,6 +180,17 @@ def test_centrally_symmetric_law_solves_one_arc(request, monkeypatch, law, a, ep
     assert [c.tau for c in res.candidates] == [-1, +1]
 
 
+@pytest.mark.parametrize("law", ["drift", "triangle_atoms"])
+def test_candidate_derivatives_are_the_ray_gradients(request, monkeypatch, law):
+    # h' = grad K at the arc samples comes from their ray solve, bit for bit,
+    # with no second kernel call on the samples
+    model = request.getfixturevalue(law)
+    ref = inc.cumulant_gradient
+    monkeypatch.setattr(inc, "cumulant_gradient", lambda *args: pytest.fail("gradient taken again"))
+    c = solver._candidate(model, 1.3, [0.3, -1.0], +1, 256)
+    assert c.trajectory.derivs.tobytes() == ref(model, c.trajectory.duals).tobytes()
+
+
 def test_rate_monotone_in_area(drift):
     rates = [lh.rate_of_area(drift, a).rate for a in (0.3, 0.6, 1.0, 1.5)]
     assert all(x < y for x, y in zip(rates, rates[1:]))
@@ -245,9 +256,24 @@ def test_graph_quadrature_matches_adaptive_reference(graph_pm1):
         u = sol.u_star
         opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200, points=[0.0])
         slope, _ = quad(lambda s: s * d1(u * s), -1.0, 1.0, **opts)
-        assert solver._area_slope(y, u) == pytest.approx(slope, rel=1e-13)
+        curve, _ = quad(lambda s: s * s * float(inc.y_cumulant_d2(y, np.array([u * s]))[0]), -1.0, 1.0, **opts)
+        assert solver._area_slope(y, u) == pytest.approx((slope, curve), rel=1e-13)
         val, _ = quad(lambda w: w * d1(w) - k(w), -u, u, **opts)
         assert sol.rate == pytest.approx(val / (2.0 * u), rel=1e-13)
+
+
+def test_graph_dual_parameter_matches_brentq(graph_pm1):
+    # u* of |mu1| E'(u) = 4 a by the Newton level solve against brentq on the
+    # same Gauss-Legendre E', up to the end of the +-1 law's range (a_max 0.25)
+    skewed = lh.graph1d(1.0, lh.atoms1d([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]))
+    for model, a in ((graph_pm1, 0.05), (graph_pm1, 0.2), (graph_pm1, 0.2499), (skewed, 0.1), (skewed, 0.3)):
+        y, mu1 = model.kind.y_model, model.kind.mu1
+        f = lambda u: abs(mu1) * solver._area_slope(y, u)[0] - 4.0 * a
+        hi = 1.0
+        while f(hi) < 0.0:
+            hi *= 2.0
+        ref = brentq(f, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        assert lh.graph_trajectory(model, a).u_star == pytest.approx(ref, rel=1e-13, abs=0.0), (model, a)
 
 
 def test_graph_trajectory_out_of_range(graph_pm1):
@@ -279,7 +305,7 @@ def test_rate_of_area_proper_subset_paths(two_atoms):
         lh.rate_of_area(two_atoms, 0.1)
     res = lh.rate_of_area(two_atoms, 0.1, eps=0.05)
     assert res.eps_applied == 0.05
-    assert res.rate > 0 and res.ladder is None
+    assert res.rate > 0
 
 
 def line_law_rate(eps: float, a: float) -> float:
@@ -315,18 +341,27 @@ def line_law_rate(eps: float, a: float) -> float:
     return 2.0 * area / mass - alpha
 
 
-def test_rate_of_area_symmetric_ladder():
-    # symmetric line-supported atoms: the built-in regularization ladder runs
-    model = lh.atoms([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
-    assert lh.support_class(model).tag == "proper_subset"
-    res = lh.rate_of_area(model, 0.05)
-    assert res.ladder is not None and len(res.ladder) == 3
-    assert [e for e, _ in res.ladder] == [1e-1, 1e-2, 1e-3]
-    assert res.eps_applied == 1e-3
-    assert res.rate == res.ladder[-1][1]
-    # every rung against a level solved apart, the elongated eps = 1e-3 one included
-    for eps, rate in res.ladder:
-        assert rate == pytest.approx(line_law_rate(eps, 0.05), rel=1e-10), eps
+def test_rate_of_area_symmetric_ladder(tmp_path, capsys):
+    # a centrally symmetric law on a line through 0 (atoms on a segment, a
+    # zero-mean singular Gaussian): every walk stays on the line and encloses
+    # no area, so J = +inf and the attainable range is a_max = 0
+    line = lh.atoms([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
+    for model in (line, lh.gaussian([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])):
+        assert lh.support_class(model).tag == "proper_subset"
+        with pytest.raises(OutOfRangeError) as exc:
+            lh.rate_of_area(model, 0.05)
+        assert exc.value.a_max == 0.0
+        spec = tmp_path / "line.json"
+        spec.write_text(json.dumps(lh.to_spec(model)))
+        assert cli.main(["rate", "--dist", str(spec), "--area", "0.05"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "out_of_range" and error["a_max"] == 0.0
+    # an explicit eps regularizes it: each eps against a level solved apart,
+    # the elongated eps = 1e-3 one included
+    for eps in (1e-1, 1e-2, 1e-3):
+        res = lh.rate_of_area(line, 0.05, eps=eps)
+        assert res.eps_applied == eps
+        assert res.rate == pytest.approx(line_law_rate(eps, 0.05), rel=1e-10), eps
 
 
 def polar_area_mass(model, alpha, ell, tau):
@@ -485,20 +520,24 @@ def bisect_decreasing(fn, target):
     return 0.5 * (lo + hi), None
 
 
+# each function with its analytic derivative
 DECREASING = {
-    "inv_sqrt": (lambda a: 1.0 / math.sqrt(a), (1e-8, 0.05, 0.7, 1.0, 3.0, 1e4, 1e8)),
-    "neg_log": (lambda a: -math.log(a), (-30.0, -2.0, 0.0, 0.5, 25.0, 40.0)),
-    "bounded": (lambda a: math.exp(-a) + 1.0 / (1.0 + a), (-1.0, 0.3, 1.2, 1.9, 2.5)),
-    "steep": (lambda a: 1.0 / a + 1.0 / (a * a), (1e-20, 1e-3, 2.0, 50.0, 1e30)),
+    "inv_sqrt": (lambda a: 1.0 / math.sqrt(a), lambda a: -0.5 / (a * math.sqrt(a)),
+                 (1e-8, 0.05, 0.7, 1.0, 3.0, 1e4, 1e8)),
+    "neg_log": (lambda a: -math.log(a), lambda a: -1.0 / a, (-30.0, -2.0, 0.0, 0.5, 25.0, 40.0)),
+    "bounded": (lambda a: math.exp(-a) + 1.0 / (1.0 + a), lambda a: -math.exp(-a) - 1.0 / (1.0 + a) ** 2,
+                (-1.0, 0.3, 1.2, 1.9, 2.5)),
+    "steep": (lambda a: 1.0 / a + 1.0 / (a * a), lambda a: -1.0 / (a * a) - 2.0 / a ** 3,
+              (1e-20, 1e-3, 2.0, 50.0, 1e30)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DECREASING))
 def test_level_solve_matches_bisection(name):
-    fn, targets = DECREASING[name]
+    fn, dfn, targets = DECREASING[name]
     for target in targets:
         calls = []
-        got, cap = inc._solve_decreasing(lambda a: calls.append(a) or fn(a), target)
+        got, cap = inc._solve_decreasing(lambda a: calls.append(a) or (fn(a), dfn(a)), target)
         ref, ref_cap = bisect_decreasing(fn, target)
         assert (got is None) == (ref is None), target
         if ref is None:
@@ -560,7 +599,7 @@ def test_unsettled_direction_fixed_point_raises(drift, monkeypatch):
         e = np.array([math.cos(theta[0]), math.sin(theta[0])])
         return [(ell, tau) for ell in (e, -e) for tau in (+1, -1)]
 
-    monkeypatch.setattr(inc, "_solve_decreasing", lambda fn, target: (1.0, None))
+    monkeypatch.setattr(inc, "_solve_decreasing", lambda fn, target, rtol: (1.0, None))
     monkeypatch.setattr(solver, "candidate_directions", moving_chord)
     with pytest.raises(NoConvergenceError):
         solver._solve_candidate(drift, math.pi / 2, +1, 1.0, 64, 256)
@@ -580,61 +619,11 @@ def test_seeds_settling_on_one_arc_list_it_once(drift, monkeypatch):
     assert res.candidates[1].multiplier == -arc.multiplier
 
 
-_BRENT_FUNCTIONS = {
-    "cubic": lambda x: x ** 3 - 2.0 * x - 5.0,
-    "cos": lambda x: math.cos(x) - x,
-    "exp": lambda x: math.exp(x) - 10.0,
-    "log": lambda x: math.log(x) + 0.5,
-    "steep": lambda x: math.atan(1e6 * (x - 0.3)),
-    "three_roots": lambda x: (x - 1e-3) * (x + 2.0) * (x - 2.5),
-    "linear": lambda x: 3.0 * x - 1.0,
-}
-
-
-@pytest.mark.parametrize("name", sorted(_BRENT_FUNCTIONS))
-def test_brent_matches_brentq_bit_for_bit(name):
-    # same evaluation points and the same root, to the last bit; brentq
-    # evaluates the bracket ends first, which _brent is handed instead
-    f = _BRENT_FUNCTIONS[name]
-    tolerances = [(1e-12, 1e-13), (2e-12, 8.9e-16), (1e-15, 1e-13), (1e-3, 1e-6),
-                  (1e-300, 4 * np.finfo(float).eps)]
-    cases = 0
-    for a, b in [(0.01, 3.0), (1e-6, 1.0), (0.2, 2.5), (1e-4, 5.0)]:
-        if f(a) * f(b) > 0.0:
-            continue
-        for xtol, rtol in tolerances:
-            ref_x, got_x = [], []
-            ref = brentq(lambda x: ref_x.append(x) or f(x), a, b, xtol=xtol, rtol=rtol)
-            got = inc._brent(lambda x: got_x.append(x) or f(x), a, b, f(a), f(b), xtol, rtol)
-            assert got == ref and got_x == ref_x[2:], (a, b, xtol, rtol)
-            cases += 1
-    assert cases >= 10
-
-
-def test_brent_checks_its_inputs_and_its_cap():
-    f = _BRENT_FUNCTIONS["cubic"]
-    assert inc._brent(f, 2.0, 3.0, 0.0, f(3.0), 1e-12, 1e-13) == 2.0
-    with pytest.raises(ValueError, match="xtol"):
-        inc._brent(f, 1.0, 3.0, f(1.0), f(3.0), 0.0, 1e-13)
-    with pytest.raises(ValueError, match="rtol"):
-        inc._brent(f, 1.0, 3.0, f(1.0), f(3.0), 1e-12, 1e-16)
-    with pytest.raises(ValueError, match="signs"):
-        inc._brent(f, 3.0, 4.0, f(3.0), f(4.0), 1e-12, 1e-13)
-    with pytest.raises(ValueError, match="NaN"):
-        inc._brent(lambda x: math.nan, 1.0, 3.0, f(1.0), f(3.0), 1e-12, 1e-13)
-    # a fifth-order root takes brentq past its 100 iterations too
-    flat = lambda x: (x - 0.7) ** 5
-    with pytest.raises(RuntimeError):
-        brentq(flat, 0.01, 3.0, xtol=1e-12, rtol=1e-13)
-    with pytest.raises(NoConvergenceError):
-        inc._brent(flat, 0.01, 3.0, flat(0.01), flat(3.0), 1e-12, 1e-13)
-
-
 def test_root_cap_raises_no_convergence(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(inc, "_BRENT_MAXITER", 2)
-    f = _BRENT_FUNCTIONS["cos"]
+    monkeypatch.setattr(inc, "_ROOT_ROUNDS", 2)
+    fn, dfn, _ = DECREASING["inv_sqrt"]
     with pytest.raises(NoConvergenceError):
-        inc._brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12, inc._ROOT_RTOL)
+        inc._solve_decreasing(lambda a: (fn(a), dfn(a)), 0.7)
     # through the CLI it is exit 2 with a JSON error, not a traceback
     spec = tmp_path / "gauss_iso.json"
     spec.write_text(json.dumps({"type": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]], "eps": 0}))
