@@ -79,7 +79,14 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _csv_rows(rows) -> str:
-    return "".join(",".join(_fmt_float(float(v)) for v in row) + "\n" for row in rows)
+    """Rows of a 2-D float array as CSV lines, each value as :func:`_fmt_float`
+    writes it: one ``%.17g`` template over a finite block (``%`` and ``format``
+    give the same digits), :func:`_fmt_float` value by value otherwise."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        return "".join(",".join(map(_fmt_float, row)) + "\n" for row in rows.tolist())
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _load_model(path: str) -> inc.IncrementModel:

@@ -249,20 +249,21 @@ def _increasing_root(fn, x0, lo, hi, ftol, xtol=math.inf) -> np.ndarray:
     )
 
 
-def _solve_decreasing(fn, target: float, rtol=lambda alpha: 1e-14):
+def _solve_decreasing(fn, target: float, rtol=lambda alpha: 1e-14, start: float = 1.0):
     """Root of a strictly decreasing fn(alpha) = target on (0, inf), where
     ``fn`` returns the value and the derivative.
 
-    The bracket grows from alpha = 1 by the factor ``_GROW`` until it holds a
-    sign change; then :func:`_increasing_root` solves in log alpha, from the
-    larger Newton step off the bracket's ends, to |fn - target| <= rtol(alpha)
-    |target| (absolute at target 0).  Returns (alpha, None) on success.
+    The bracket grows from alpha = ``start`` (a nearby root, or 1) by the
+    factor ``_GROW`` until it holds a sign change; then
+    :func:`_increasing_root` solves in log alpha, from the larger Newton step
+    off the bracket's ends, to |fn - target| <= rtol(alpha) |target|
+    (absolute at target 0).  Returns (alpha, None) on success.
     (None, value at cap) means the target undershoots the attainable range
     (the area is too large); (None, None) means it overshoots on the
     small-alpha side, so this branch has no root.
     """
-    lo = hi = 1.0
-    f_lo = f_hi = fn(1.0)
+    lo = hi = start
+    f_lo = f_hi = fn(start)
     if f_lo[0] > target:
         while f_hi[0] > target:
             if hi >= _ALPHA_HI_CAP:

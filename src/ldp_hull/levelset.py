@@ -18,14 +18,19 @@ S (cos phi, sin phi) with S = Hess K(0)^{-1/2}, which spreads them evenly
 over an elongated level set.  The public functions double the node count
 until the values on n and 2n nodes agree to a relative tolerance and raise
 :class:`NoConvergenceError` past ``_N_CAP`` nodes.  Ray solves within one
-rule are one batch, which gives area, mass, mass density (g from the last
-Newton round) and d mass/d alpha; no rule's rays are solved twice.
+rule are one batch, which gives area, mass and mass density (g from the last
+Newton round), so the density takes no second solve.  Each ray starts at the root
+of K's second-order model along it: about the origin for a cold solve, about
+the previous level's radii within a level solve.  For a quadratic K (every
+Gaussian law) that start is the root, and the solve ends after the
+evaluation that checks it.
 
 The level equations of the optimal trajectories are solved here as well, by
 Newton steps with exact derivatives.  The level of a target area matches
 d sqrt(area)/d alpha, taken from the coarea identity (mass over twice the
-root area, never finite differences), to the target on one fixed polar rule,
-and solves again on more nodes until area and mass settle at the root.  The
+root area, never finite differences, with d mass/d alpha from one Hessian
+per ray), to the target on one fixed polar rule, and solves again, from that
+root, on more nodes until area and mass settle at the root.  The
 cut directions ``ell`` are those where the level set meets the line through
 0 at a centrally symmetric pair.
 """
@@ -125,11 +130,14 @@ def _ray_radii(model, alpha: float, dirs: np.ndarray, r0=None) -> tuple[np.ndarr
     Unique because K is convex with K(0) = 0 < alpha and grows to infinity
     along every ray, so K(r * dir) - alpha is negative below the root and
     positive above it (it may dip first, on rays against the drift).  One
-    safeguarded Newton solve on the bracket (0, inf), started from ``r0`` (the
-    radii of a nearby solve) or from 1, until every residual is at most
-    ``_RAY_TOL * max(1, alpha)`` or its bracket has no float inside; raises
-    :class:`NoConvergenceError` otherwise.  The gradients are those of the
-    last Newton round, which evaluates every entry at the radius it returns.
+    safeguarded Newton solve on the bracket (0, inf) runs until every residual
+    is at most ``_RAY_TOL * max(1, alpha)`` or its bracket has no float
+    inside, and raises :class:`NoConvergenceError` otherwise.  It starts from
+    ``r0`` (the radii of a nearby solve) or else at the root of K's
+    second-order model along each ray, (d . grad K(0)) r + (d . Hess K(0) d)
+    r^2/2 = alpha, which is the root itself when K is quadratic.  The
+    gradients are those of the last Newton round, which evaluates every entry
+    at the radius it returns.
     """
     grad = None
 
@@ -138,8 +146,19 @@ def _ray_radii(model, alpha: float, dirs: np.ndarray, r0=None) -> tuple[np.ndarr
         K, grad = inc._derivatives(model, dirs * r[:, None], 1)
         return K - alpha, np.einsum("ij,ij->i", dirs, grad)
 
-    x0 = np.ones(len(dirs)) if r0 is None else r0
-    return inc._increasing_root(residual, x0, 0.0, math.inf, _RAY_TOL * max(1.0, alpha)), grad
+    if r0 is None:
+        _, g0, h0 = inc._derivatives(model, np.zeros(2), 2)
+        r0 = _quadratic_root(dirs @ g0, np.einsum("ij,jk,ik->i", dirs, h0, dirs), alpha)
+    return inc._increasing_root(residual, r0, 0.0, math.inf, _RAY_TOL * max(1.0, alpha)), grad
+
+
+def _quadratic_root(b, c, a):
+    """The root of b x + c x^2/2 = a that is 0 at a = 0 (the positive one for
+    a, c > 0), free of cancellation: 2a/(b + sqrt(D)) for b >= 0, else
+    (sqrt(D) - b)/c, with D = b^2 + 2ca; NaN where D < 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(b * b + 2.0 * c * a)
+        return np.where(b >= 0.0, 2.0 * a / (b + root), (root - b) / c)
 
 
 def level_radius(model: inc.IncrementModel, alpha: float, direction) -> float:
@@ -230,16 +249,13 @@ def _arc_rule(model, ell: np.ndarray, tau: int, n: int):
 
 
 def _quadrature(model, alpha, rule, r0=None):
-    """(area, mass, radii, mass per unit of the rule's parameter, d mass/d alpha)
-    on one polar rule; d(r/(d . g))/d alpha = (1 - r d.Hd/(d . g))/(d . g)^2."""
+    """(area, mass, radii, mass per unit of the rule's parameter, ray slopes d . g)
+    on one polar rule."""
     dirs, jac, w = rule
     r, grad = _ray_radii(model, alpha, dirs, r0=r0)
     slope = np.einsum("ij,ij->i", dirs, grad)
-    hess = inc._derivatives(model, dirs * r[:, None], 2)[2]
     weights, density = w * jac, r / slope
-    curve = np.einsum("ij,ijk,ik->i", dirs, hess, dirs)
-    dmass = float(weights @ ((1.0 - density * curve) / (slope * slope)))
-    return 0.5 * float(weights @ (r * r)), float(weights @ density), r, jac * density, dmass
+    return 0.5 * float(weights @ (r * r)), float(weights @ density), r, jac * density, slope
 
 
 def _settled(model, alpha, rule_of, rtol: float):
@@ -339,29 +355,41 @@ def _settle_rtol(alpha: float) -> float:
 def _solve_level(model, target: float, ell=None, tau: int = +1):
     """:func:`increments._solve_decreasing` of alpha -> d sqrt(area)/d alpha on
     one polar rule of n nodes (the ring, or the arc of ``ell`` and ``tau``), so
-    the slope M/(2 sqrt A) is one function of alpha, its ray radii warm-started,
-    and its derivative M'/(2 sqrt A) - M^2/(4 A^(3/2)) is exact; solved to the
-    ray noise relative to the target, and again on more nodes until n reaches
-    the count at which the area and mass settle (:func:`_settled` at
-    :func:`_settle_rtol`) at the root, or, without a root,
-    at the smallest level tried: too few nodes underestimate the slope of a
-    short arc near the origin."""
+    the slope M/(2 sqrt A) is one function of alpha and its derivative
+    M'/(2 sqrt A) - M^2/(4 A^(3/2)) is exact, with
+    d(r/(d . g))/d alpha = (1 - r q/(d . g))/(d . g)^2 and q = d . Hess K d.
+    Each evaluation starts its rays at the root of K's second-order model
+    along them about the previous evaluation's radii, alpha' + (d . g) delta
+    + q delta^2/2 = alpha (at the previous radii where the model has none).
+    Solved to the ray noise relative to the target, and again, its bracket
+    grown from the last root, on more nodes until n reaches the count at which
+    the area and mass settle (:func:`_settled` at :func:`_settle_rtol`) at the
+    root, or, without a root, at the smallest level tried: too few nodes
+    underestimate the slope of a short arc near the origin."""
     rule_of = lambda n: _ring_rule(model, n) if ell is None else _arc_rule(model, ell, tau, n)
-    n = _N0
+    n, at = _N0, 1.0
     while True:
-        rule, radii, last = rule_of(n), None, None
+        rule, last = rule_of(n), None
+        dirs, jac, w = rule
 
         def slope(alpha: float) -> tuple[float, float]:
-            nonlocal radii, last
-            area, mass, radii, _, dmass = _quadrature(model, alpha, rule, radii)
-            last = alpha
+            nonlocal last
+            r0 = None
+            if last is not None:
+                prev, r, s, q = last
+                start = r + _quadratic_root(s, q, alpha - prev)
+                r0 = np.where(start > 0.0, start, r)  # NaN where the model has no root
+            area, mass, r, _, s = _quadrature(model, alpha, rule, r0)
+            q = np.einsum("ij,ijk,ik->i", dirs, inc._derivatives(model, dirs * r[:, None], 2)[2], dirs)
+            last = alpha, r, s, q
+            dmass = float((w * jac) @ ((1.0 - r / s * q) / (s * s)))
             root = math.sqrt(max(area, 1e-300))
             return mass / (2.0 * root), dmass / (2.0 * root) - mass * mass / (4.0 * root ** 3)
 
-        alpha, cap = inc._solve_decreasing(slope, target, _ray_noise)
+        alpha, cap = inc._solve_decreasing(slope, target, _ray_noise, at)
         if cap is not None:
             return alpha, cap
-        at = alpha if alpha is not None else last
+        at = alpha if alpha is not None else last[0]
         settled_n = _settled(model, at, rule_of, _settle_rtol(at))[2]
         if settled_n <= n:
             return alpha, cap

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldp_hull.cli import main
+from ldp_hull.cli import _csv_rows, _fmt_float, main
 
 
 @pytest.fixture()
@@ -314,3 +314,15 @@ def test_json_floats_round_trip(specs, tmp_path):
     text = out.read_text()
     # 17 significant digits: re-parsing and re-formatting is the identity
     assert format(payload["rate"], ".17g") in text
+
+
+def test_csv_rows_match_the_per_value_formatter():
+    # the one-template writer gives the bytes of _fmt_float value by value,
+    # at extreme exponents, signed zeros, subnormals and on non-finite rows
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(64, 3)) * 10.0 ** rng.integers(-300, 301, size=(64, 3))
+    edge = [[-0.0, 0.0, 5e-324], [-2.2250738585072014e-308, 1e300, -1e-300],
+            [math.nan, 1.0, -0.0], [math.inf, -math.inf, 1e-310], [0.1, 1.0 / 3.0, -7.0]]
+    for rows in (block, np.vstack([block, edge]), np.array(edge), np.zeros((0, 2))):
+        ref = "".join(",".join(_fmt_float(float(v)) for v in row) + "\n" for row in rows)
+        assert _csv_rows(rows) == ref

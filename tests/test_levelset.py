@@ -310,9 +310,33 @@ def test_ray_radii_cold_and_warm(model, alpha, shift):
     warm, _ = levelset._ray_radii(model, alpha, dirs, r0=factors * cold)
     assert np.all(np.abs(lh.cumulant(model, dirs * warm[:, None]) - alpha) <= tol)
     np.testing.assert_allclose(warm, cold, rtol=1e-9)
-    # an exhausted round budget must raise, not return
+    # an exhausted round budget must raise, not return: three rounds cannot
+    # settle rays started a thousand times too far out
     with patch.object(inc, "_ROOT_ROUNDS", 3), pytest.raises(NoConvergenceError):
-        levelset._ray_radii(model, alpha, dirs)
+        levelset._ray_radii(model, alpha, dirs, r0=1e3 * cold)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_cold_ray_solve_of_a_gaussian_is_one_evaluation(eps):
+    # K is quadratic along every ray, so the root of its second-order model at 0
+    # is the root: the evaluation that checks it ends the solve
+    model = lh.gaussian([0.8, -0.5], [[2.0, 0.7], [0.7, 0.5]], eps)
+    thetas = np.linspace(0.0, 2 * math.pi, 64, endpoint=False) + 0.1
+    mu = lh.drift(model)
+    dirs = np.vstack([np.column_stack([np.cos(thetas), np.sin(thetas)]), -mu / np.linalg.norm(mu)])
+    kernel, shapes = inc._derivatives, []
+
+    def counted(m, u, order):
+        shapes.append(np.shape(u))
+        return kernel(m, u, order)
+
+    for alpha in (0.05, 1.0, 20.0):
+        shapes.clear()
+        with patch.object(inc, "_derivatives", counted):
+            r, _ = levelset._ray_radii(model, alpha, dirs)
+        assert shapes == [(2,), dirs.shape]  # K's model at the origin, then the rays once
+        tol = levelset._RAY_TOL * max(1.0, alpha)
+        assert np.all(np.abs(lh.cumulant(model, dirs * r[:, None]) - alpha) <= tol)
 
 
 

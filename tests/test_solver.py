@@ -599,7 +599,7 @@ def test_unsettled_direction_fixed_point_raises(drift, monkeypatch):
         e = np.array([math.cos(theta[0]), math.sin(theta[0])])
         return [(ell, tau) for ell in (e, -e) for tau in (+1, -1)]
 
-    monkeypatch.setattr(inc, "_solve_decreasing", lambda fn, target, rtol: (1.0, None))
+    monkeypatch.setattr(inc, "_solve_decreasing", lambda fn, target, rtol, start: (1.0, None))
     monkeypatch.setattr(solver, "candidate_directions", moving_chord)
     with pytest.raises(NoConvergenceError):
         solver._solve_candidate(drift, math.pi / 2, +1, 1.0, 64, 256)
