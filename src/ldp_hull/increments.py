@@ -253,28 +253,31 @@ def _solve_decreasing(fn, target: float, rtol=lambda alpha: 1e-14, start: float 
     """Root of a strictly decreasing fn(alpha) = target on (0, inf), where
     ``fn`` returns the value and the derivative.
 
-    The bracket grows from alpha = ``start`` (a nearby root, or 1) by the
-    factor ``_GROW`` until it holds a sign change; then
+    The bracket grows from alpha = ``start`` (a nearby root, or 1) until it
+    holds a sign change, first by twice the Newton step in log alpha (at
+    least 1e-13, at most log ``_GROW``), then by the factor ``_GROW``; then
     :func:`_increasing_root` solves in log alpha, from the larger Newton step
     off the bracket's ends, to |fn - target| <= rtol(alpha) |target|
-    (absolute at target 0).  Returns (alpha, None) on success.
-    (None, value at cap) means the target undershoots the attainable range
-    (the area is too large); (None, None) means it overshoots on the
-    small-alpha side, so this branch has no root.
+    (absolute at target 0).  Returns (alpha, None) on success, alpha the last
+    point evaluated.  (None, value at cap) means the target undershoots the
+    attainable range (the area is too large); (None, None) means it
+    overshoots on the small-alpha side, so this branch has no root.
     """
     lo = hi = start
     f_lo = f_hi = fn(start)
+    newton = lambda a, f: (target - f[0]) / (a * f[1]) if a * f[1] < 0.0 else math.inf  # in log alpha
+    grow = math.exp(min(max(2.0 * abs(newton(start, f_lo)), 1e-13), math.log(_GROW)))
     if f_lo[0] > target:
         while f_hi[0] > target:
             if hi >= _ALPHA_HI_CAP:
                 return None, f_hi[0]
             lo, f_lo = hi, f_hi
-            hi = min(hi * _GROW, _ALPHA_HI_CAP)
+            hi, grow = min(hi * grow, _ALPHA_HI_CAP), _GROW
             f_hi = fn(hi)
     else:
-        while f_lo[0] <= target:
+        while f_lo[0] < target:  # an exact root at lo is left to the root finder
             hi, f_hi = lo, f_lo
-            lo /= _GROW
+            lo, grow = lo / grow, _GROW
             if lo < _ALPHA_LO_CAP:
                 return None, None
             f_lo = fn(lo)
@@ -289,7 +292,7 @@ def _solve_decreasing(fn, target: float, rtol=lambda alpha: 1e-14, start: float 
 
     x_lo, x_hi = math.log(lo), math.log(hi)
     # Newton steps off either end fall short of the root where target - fn is concave in log alpha
-    steps = [math.log(a) + (target - f[0]) / (a * f[1]) for a, f in ((lo, f_lo), (hi, f_hi)) if a * f[1] < 0.0]
+    steps = [math.log(a) + newton(a, f) for a, f in ((lo, f_lo), (hi, f_hi))]
     x0 = max([x for x in steps if x_lo < x < x_hi], default=0.5 * (x_lo + x_hi))
     return math.exp(float(_increasing_root(g, x0, x_lo, x_hi, 1.0))), None
 

@@ -15,24 +15,23 @@ rules: the periodic trapezoid rule on the whole level set, Fejer's first rule
 (Chebyshev points, which also carry the equal-mass parametrization) on an
 arc.  Nodes are uniform in the whitened angle phi, d proportional to
 S (cos phi, sin phi) with S = Hess K(0)^{-1/2}, which spreads them evenly
-over an elongated level set.  The public functions double the node count
-until the values on n and 2n nodes agree to a relative tolerance and raise
-:class:`NoConvergenceError` past ``_N_CAP`` nodes.  Ray solves within one
-rule are one batch, which gives area, mass and mass density (g from the last
-Newton round), so the density takes no second solve.  Each ray starts at the root
-of K's second-order model along it: about the origin for a cold solve, about
-the previous level's radii within a level solve.  For a quadratic K (every
+over an elongated level set.  Ray solves within one rule are one batch,
+which gives area, mass and mass density (g from the last Newton round), so
+the density takes no second solve.  Each ray starts at the root of K's
+second-order model along it: about the origin for a cold solve, about the
+previous level's radii within a level solve.  For a quadratic K (every
 Gaussian law) that start is the root, and the solve ends after the
 evaluation that checks it.
 
-The level equations of the optimal trajectories are solved here as well, by
-Newton steps with exact derivatives.  The level of a target area matches
-d sqrt(area)/d alpha, taken from the coarea identity (mass over twice the
-root area, never finite differences, with d mass/d alpha from one Hessian
-per ray), to the target on one fixed polar rule, and solves again, from that
-root, on more nodes until area and mass settle at the root.  The
-cut directions ``ell`` are those where the level set meets the line through
-0 at a centrally symmetric pair.
+The public functions double the node count until the values on n and 2n
+nodes agree to a relative tolerance and raise :class:`NoConvergenceError`
+past ``_N_CAP`` nodes.  The level of a target area matches d sqrt(area)/d
+alpha (mass over twice the root area, by the coarea identity, with d mass/d
+alpha from one Hessian per ray) to the target on one polar rule, then on
+twice its nodes from that root until area and mass settle there: the one
+settle of a solved arc, whose rule carries the arc's equal-mass
+parametrization.  The cut directions ``ell`` are those where the level set
+meets the line through 0 at a centrally symmetric pair.
 """
 
 from __future__ import annotations
@@ -259,13 +258,13 @@ def _quadrature(model, alpha, rule, r0=None):
 
 
 def _settled(model, alpha, rule_of, rtol: float):
-    """(area, mass, n, density) on ``rule_of(n)`` for the first n, doubling from
+    """(area, mass, density) on ``rule_of(n)`` for the first n, doubling from
     ``_N0``, at which area and mass agree with those on n/2 nodes to ``rtol``."""
     n, prev = _N0, None
     while True:
         area, mass, _, density, _ = _quadrature(model, alpha, rule_of(n))
         if prev is not None and np.allclose((area, mass), prev, rtol=rtol, atol=0.0):
-            return area, mass, n, density
+            return area, mass, density
         if 2 * n > _N_CAP:
             raise NoConvergenceError(f"level-set quadrature unsettled at rtol={rtol:g}, {n} nodes")
         prev, n = (area, mass), 2 * n
@@ -278,7 +277,7 @@ def sublevel_area(model: inc.IncrementModel, alpha: float, rtol: float = _REFINE
 
 
 def _arc_settled(model, alpha, ell, tau, rtol, what):
-    """(unit ell, tau, area, mass, n, density): :func:`_settled` on the arc's rules."""
+    """(unit ell, tau, area, mass, density): :func:`_settled` on the arc's rules."""
     _check_args(model, alpha, what)
     ell, tau = _unit(ell), _check_tau(tau)
     return (ell, tau) + _settled(model, alpha, lambda n: _arc_rule(model, ell, tau, n), rtol)
@@ -318,9 +317,13 @@ def arc_parametrization(
     """
     if n < 2:
         raise ValueError("need at least 2 segments")
-    ell, tau, area, mass, deg, density = _arc_settled(model, alpha, ell, tau, rtol, "arc_parametrization")
+    return _equal_mass_arc(model, alpha, *_arc_settled(model, alpha, ell, tau, rtol, "arc_parametrization"), n)
+
+
+def _equal_mass_arc(model, alpha, ell, tau, area, mass, density, n: int) -> LevelArc:
+    """:func:`arc_parametrization` from a settled rule's area, mass and mass density."""
     cheb = np.polynomial.chebyshev
-    coef = _dct(density, 2) / deg
+    coef = _dct(density, 2) / len(density)
     coef[0] *= 0.5
     # a tail below 1e-14 mass moves no sample (the inversion stops at 1e-12 mass)
     tail = np.cumsum(np.abs(coef[::-1]))[::-1]
@@ -354,20 +357,21 @@ def _settle_rtol(alpha: float) -> float:
 
 def _solve_level(model, target: float, ell=None, tau: int = +1):
     """:func:`increments._solve_decreasing` of alpha -> d sqrt(area)/d alpha on
-    one polar rule of n nodes (the ring, or the arc of ``ell`` and ``tau``), so
-    the slope M/(2 sqrt A) is one function of alpha and its derivative
-    M'/(2 sqrt A) - M^2/(4 A^(3/2)) is exact, with
+    one polar rule of n nodes (the ring, or the arc of the unit ``ell`` and
+    ``tau``), so the slope M/(2 sqrt A) is one function of alpha and its
+    derivative M'/(2 sqrt A) - M^2/(4 A^(3/2)) is exact, with
     d(r/(d . g))/d alpha = (1 - r q/(d . g))/(d . g)^2 and q = d . Hess K d.
     Each evaluation starts its rays at the root of K's second-order model
     along them about the previous evaluation's radii, alpha' + (d . g) delta
     + q delta^2/2 = alpha (at the previous radii where the model has none).
-    Solved to the ray noise relative to the target, and again, its bracket
-    grown from the last root, on more nodes until n reaches the count at which
-    the area and mass settle (:func:`_settled` at :func:`_settle_rtol`) at the
-    root, or, without a root, at the smallest level tried: too few nodes
-    underestimate the slope of a short arc near the origin."""
+    Solved to the ray noise relative to the target, then on 2n nodes from
+    that root (without one, from the smallest level tried: too few nodes
+    underestimate the slope of a short arc near the origin), whose first
+    evaluation is the settle test: once its area and mass agree with those
+    on n nodes to :func:`_settle_rtol`, returns (alpha or None, None, (area,
+    mass, mass density) on 2n nodes); (None, value at cap, None) past the cap."""
     rule_of = lambda n: _ring_rule(model, n) if ell is None else _arc_rule(model, ell, tau, n)
-    n, at = _N0, 1.0
+    n, at, prev = _N0, 1.0, None
     while True:
         rule, last = rule_of(n), None
         dirs, jac, w = rule
@@ -376,24 +380,43 @@ def _solve_level(model, target: float, ell=None, tau: int = +1):
             nonlocal last
             r0 = None
             if last is not None:
-                prev, r, s, q = last
-                start = r + _quadratic_root(s, q, alpha - prev)
+                prev_alpha, r, s, q = last[:4]
+                start = r + _quadratic_root(s, q, alpha - prev_alpha)
                 r0 = np.where(start > 0.0, start, r)  # NaN where the model has no root
-            area, mass, r, _, s = _quadrature(model, alpha, rule, r0)
+            area, mass, r, density, s = _quadrature(model, alpha, rule, r0)
             q = np.einsum("ij,ijk,ik->i", dirs, inc._derivatives(model, dirs * r[:, None], 2)[2], dirs)
-            last = alpha, r, s, q
+            last = alpha, r, s, q, (area, mass, density)
             dmass = float((w * jac) @ ((1.0 - r / s * q) / (s * s)))
             root = math.sqrt(max(area, 1e-300))
             return mass / (2.0 * root), dmass / (2.0 * root) - mass * mass / (4.0 * root ** 3)
 
-        alpha, cap = inc._solve_decreasing(slope, target, _ray_noise, at)
+        first = [slope(at)]  # the solve's own first evaluation, at ``at``
+        if prev is not None and np.allclose(last[4][:2], prev, rtol=_settle_rtol(at), atol=0.0):
+            return alpha, None, last[4]
+        alpha, cap = inc._solve_decreasing(lambda a: first.pop() if first else slope(a), target, _ray_noise, at)
         if cap is not None:
-            return alpha, cap
-        at = alpha if alpha is not None else last[0]
-        settled_n = _settled(model, at, rule_of, _settle_rtol(at))[2]
-        if settled_n <= n:
-            return alpha, cap
-        n = settled_n
+            return None, cap, None
+        at, prev = last[0], last[4][:2]  # the root, or the smallest level tried
+        if 2 * n > _N_CAP:
+            raise NoConvergenceError(f"level-set quadrature unsettled at rtol={_settle_rtol(at):g}, {n} nodes")
+        n *= 2
+
+
+def _symmetric_level(model, area: float):
+    """(alpha, ell, tau) + settled rule of :func:`symmetric_level` on its half arc."""
+    inc._check_area(area)
+    _check_args(model, 1.0, "symmetric_level")
+    if not inc.is_centrally_symmetric(model):
+        raise NotSymmetricError("symmetric_level needs a centrally symmetric law")
+    ell = np.array([1.0, 0.0])
+    alpha, cap_slope, settled = _solve_level(model, 1.0 / (2.0 * math.sqrt(area)), ell, -1)
+    if alpha is None:
+        if cap_slope is None:
+            raise NoConvergenceError("level solve found no root on the small-alpha side")
+        # the area reached at the cap level (A/M^2 of each half), on the finest rule
+        full, mass = _quadrature(model, inc._ALPHA_HI_CAP, _ring_rule(model, _N_CAP))[:2]
+        raise OutOfRangeError("target area at or beyond the attainable range", a_max=2.0 * full / mass ** 2)
+    return (alpha, ell, -1) + settled
 
 
 def symmetric_level(model: inc.IncrementModel, area: float) -> float:
@@ -401,24 +424,11 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
 
     Only for centrally symmetric full-plane models; the square-rooted
     sub-level area is strictly concave, so the slope is strictly decreasing
-    and a bracketed root finder applies.  The slope is evaluated through the
-    coarea identity (full-level arc mass over twice the root area).
+    and a bracketed root finder applies.  Every line through 0 halves the
+    area and the coarea mass, so it is solved on the half arc ell = (1, 0),
+    tau = -1 to 1/(2 sqrt(area)), the slope from the coarea identity.
     """
-    inc._check_area(area)
-    _check_args(model, 1.0, "symmetric_level")
-    if not inc.is_centrally_symmetric(model):
-        raise NotSymmetricError("symmetric_level needs a centrally symmetric law")
-    target = 1.0 / math.sqrt(2.0 * area)
-    alpha, cap_slope = _solve_level(model, target)
-    if alpha is None:
-        if cap_slope is None:
-            raise NoConvergenceError("level solve found no root on the small-alpha side")
-        # the area reached at the cap level (A/M^2 of each half), on the finest rule
-        full, mass = _quadrature(model, inc._ALPHA_HI_CAP, _ring_rule(model, _N_CAP))[:2]
-        raise OutOfRangeError(
-            "target area at or beyond the attainable range", a_max=2.0 * full / mass ** 2
-        )
-    return float(alpha)
+    return float(_symmetric_level(model, area)[0])
 
 
 def _radius_gap(model, alpha, thetas, r0=None):

@@ -31,8 +31,10 @@ from .errors import (
 from .legendre import Trajectory
 from .levelset import (
     ALL_DIRECTIONS,
+    _equal_mass_arc,
     _settle_rtol,
     _solve_level,
+    _symmetric_level,
     _unit,
     arc_parametrization,
     candidate_directions,
@@ -108,15 +110,13 @@ class GraphSolution:
 # ---------------------------------------------------------------------------
 # Trajectories
 
-def _candidate(model, alpha, ell, tau, n) -> Candidate:
-    ell = _unit(ell)
-    arc = arc_parametrization(model, alpha, ell, tau, n, rtol=_settle_rtol(alpha))
+def _candidate(arc) -> Candidate:
     pts = -(1.0 / (arc.tau * arc.mass)) * _perp(arc.samples - arc.samples[0])
     pts[0] = 0.0
     # energy integral 2 area - alpha mass: u . grad K/|grad K| is the support function
-    energy = 2.0 * arc.area / arc.mass - alpha
+    energy = 2.0 * arc.area / arc.mass - arc.alpha
     traj = Trajectory(arc.times, pts, arc.grads, arc.samples, energy=energy)
-    return Candidate(float(alpha), ell, arc.tau, traj, float(energy), arc.tau * arc.mass)
+    return Candidate(arc.alpha, arc.ell, arc.tau, traj, float(energy), arc.tau * arc.mass)
 
 
 def build_trajectory(
@@ -131,7 +131,7 @@ def build_trajectory(
     the arc-length integral of the conjugate identity (u . grad K(u) - alpha)
     along the arc, divided by the mass.
     """
-    return _candidate(model, alpha, ell, tau, n).trajectory
+    return _candidate(arc_parametrization(model, alpha, ell, tau, n, rtol=_settle_rtol(alpha))).trajectory
 
 
 def _derived(model, c: Candidate, reflect: bool) -> Candidate:
@@ -159,8 +159,8 @@ def _solve_candidate(model, theta, tau, area, n, k):
     """
     target = 1.0 / (2.0 * math.sqrt(area))
     for _ in range(_FIXED_POINT_ROUNDS):
-        ell = np.array([math.cos(theta), math.sin(theta)])
-        alpha, _cap = _solve_level(model, target, ell, tau)
+        ell = _unit([math.cos(theta), math.sin(theta)])
+        alpha, _cap, settled = _solve_level(model, target, ell, tau)
         if alpha is None:
             return None
         chords = [math.atan2(e[1], e[0]) for e, t in candidate_directions(model, alpha, k) if t == tau]
@@ -169,11 +169,9 @@ def _solve_candidate(model, theta, tau, area, n, k):
         gap = lambda c: abs(math.remainder(c - theta, 2.0 * math.pi))  # angle mod 2 pi
         new_theta = min(chords, key=gap)
         if gap(new_theta) <= 1e-12:
-            return _candidate(model, alpha, ell, tau, n)
+            return _candidate(_equal_mass_arc(model, alpha, ell, tau, *settled, n))
         theta = new_theta
-    raise NoConvergenceError(
-        f"direction/level fixed point unsettled after {_FIXED_POINT_ROUNDS} rounds"
-    )
+    raise NoConvergenceError(f"direction/level fixed point unsettled after {_FIXED_POINT_ROUNDS} rounds")
 
 
 def _ordered(cands: list[Candidate]) -> list[Candidate]:
@@ -193,14 +191,12 @@ def _ordered(cands: list[Candidate]) -> list[Candidate]:
 
 def _solve_full_plane(model, area, directions, n) -> RateResult:
     if inc.is_centrally_symmetric(model):
-        cand = _candidate(model, symmetric_level(model, area), np.array([1.0, 0.0]), -1, n)
+        cand = _candidate(_equal_mass_arc(model, *_symmetric_level(model, area), n))
         cands = [cand, _derived(model, cand, reflect=True)]
     else:
-        seed_alpha, cap = _solve_level(model, 1.0 / math.sqrt(2.0 * area))
-        if seed_alpha is None:
-            seed_alpha = 1.0
+        seed_alpha, cap, _ = _solve_level(model, 1.0 / math.sqrt(2.0 * area))
         cands = []
-        for ell, tau in candidate_directions(model, seed_alpha, directions):
+        for ell, tau in candidate_directions(model, 1.0 if seed_alpha is None else seed_alpha, directions):
             theta = math.atan2(ell[1], ell[0])
             if theta >= 0.0:
                 continue  # the reverse of the arc (-ell, -tau), derived from it below

@@ -176,7 +176,8 @@ def test_point_reflection_matches_a_fresh_solve(law):
     solved, derived = result.candidates
     assert (solved.tau, derived.tau) == (-1, +1)
     assert derived.energy == solved.energy == result.rate
-    fresh = solver._candidate(result.model, derived.alpha, (1.0, 0.0), +1, 1024)
+    fresh = solver._candidate(lh.arc_parametrization(result.model, derived.alpha, (1.0, 0.0), +1, 1024,
+                                                     rtol=solver._settle_rtol(derived.alpha)))
     assert derived.alpha == fresh.alpha and np.array_equal(derived.ell, fresh.ell)
     assert derived.energy == pytest.approx(fresh.energy, rel=1e-12, abs=0)
     assert derived.multiplier == pytest.approx(fresh.multiplier, rel=1e-12, abs=0)

@@ -150,30 +150,54 @@ def test_rate_of_area_at_tiny_areas(request, law, a, rel):
 
 
 @pytest.mark.parametrize("law, a", [("drift", 1.0), ("triangle_atoms", 0.2), ("iso", 1.0)])
-def test_one_mass_per_solved_arc(request, law, a):
+def test_one_mass_per_solved_arc(request, monkeypatch, law, a):
     # the multiplier, the trajectory scale and the energy 2A/M - alpha come from
-    # one settle of the arc's area A and mass M; a derived candidate carries its
-    # solved partner's values (ell in the lower half-plane, or the tau = -1 arc
-    # of a centrally symmetric law, are the solved ones)
+    # the one settle of the arc's area A and mass M that its level solve made;
+    # a derived candidate carries its solved partner's values (ell in the lower
+    # half-plane, or the tau = -1 arc of a centrally symmetric law, are the
+    # solved ones), and a fresh public settle agrees to the settle tolerance
     model = request.getfixturevalue(law)
+    built, build = [], solver._equal_mass_arc
+    monkeypatch.setattr(solver, "_equal_mass_arc", lambda *args: built.append(args) or build(*args))
     res = lh.rate_of_area(model, a)
     symmetric = lh.is_centrally_symmetric(model)
     solved = [c for c in res.candidates if (c.tau == -1 if symmetric else c.ell[1] < 0.0)]
     assert solved
     for c in solved:
-        rtol = levelset._settle_rtol(c.alpha)
-        mass = lh.arc_mass(model, c.alpha, c.ell, c.tau, rtol=rtol)
-        area = lh.half_area(model, c.alpha, c.ell, c.tau, rtol=rtol)
+        (area, mass), = [args[4:6] for args in built if args[1] == c.alpha and args[3] == c.tau
+                               and np.array_equal(args[2], c.ell)]
         assert c.multiplier == c.tau * mass
         assert c.energy == 2.0 * area / mass - c.alpha
+        rtol = levelset._settle_rtol(c.alpha)
+        assert lh.arc_mass(model, c.alpha, c.ell, c.tau, rtol=rtol) == pytest.approx(mass, rel=rtol, abs=0)
+        assert lh.half_area(model, c.alpha, c.ell, c.tau, rtol=rtol) == pytest.approx(area, rel=rtol, abs=0)
+
+
+@pytest.mark.parametrize("law, a, eps", [("drift", 1.0, None), ("triangle_atoms", 0.2, None),
+                                         ("iso", 1.0, None), ("square_atoms", 0.2, 1e-2)])
+def test_no_ray_batch_solved_twice(request, monkeypatch, law, a, eps):
+    # the level solve's node doubling is the only settle: no (alpha, directions)
+    # batch is solved twice, and the public settling ladder never runs
+    seen, ray_radii = set(), levelset._ray_radii
+
+    def once(model, alpha, dirs, r0=None):
+        key = (float(alpha), dirs.tobytes())
+        assert key not in seen, f"{len(dirs)} rays at alpha={alpha!r} solved again"
+        seen.add(key)
+        return ray_radii(model, alpha, dirs, r0)
+
+    monkeypatch.setattr(levelset, "_ray_radii", once)
+    monkeypatch.setattr(levelset, "_settled", lambda *args: pytest.fail("settled again"))
+    lh.rate_of_area(request.getfixturevalue(law), a, eps=eps)
+    assert seen
 
 
 @pytest.mark.parametrize("law, a, eps", [("iso", 1.0, None), ("square_atoms", 0.2, 1e-2)])
 def test_centrally_symmetric_law_solves_one_arc(request, monkeypatch, law, a, eps):
     # the (ell, +1) half is the point reflection of the solved (ell, -1) arc
-    arcs, parametrize = [], solver.arc_parametrization
+    arcs, parametrize = [], solver._equal_mass_arc
     monkeypatch.setattr(
-        solver, "arc_parametrization", lambda *args, **kw: arcs.append(args[3]) or parametrize(*args, **kw)
+        solver, "_equal_mass_arc", lambda *args, **kw: arcs.append(args[3]) or parametrize(*args, **kw)
     )
     res = lh.rate_of_area(request.getfixturevalue(law), a, eps=eps)
     assert arcs == [-1]
@@ -187,7 +211,8 @@ def test_candidate_derivatives_are_the_ray_gradients(request, monkeypatch, law):
     model = request.getfixturevalue(law)
     ref = inc.cumulant_gradient
     monkeypatch.setattr(inc, "cumulant_gradient", lambda *args: pytest.fail("gradient taken again"))
-    c = solver._candidate(model, 1.3, [0.3, -1.0], +1, 256)
+    c = solver._candidate(levelset.arc_parametrization(model, 1.3, [0.3, -1.0], +1, 256,
+                                                       rtol=levelset._settle_rtol(1.3)))
     assert c.trajectory.derivs.tobytes() == ref(model, c.trajectory.duals).tobytes()
 
 
@@ -545,6 +570,22 @@ def test_level_solve_matches_bisection(name):
             assert len(calls) <= 12, target
         else:
             assert got == pytest.approx(ref, rel=1e-12, abs=0), target
+
+
+@pytest.mark.parametrize("name", sorted(DECREASING))
+def test_level_solve_started_at_a_root_stays_next_to_it(name):
+    # a start 1e-8 off the root brackets it within twice the Newton step, so
+    # no evaluation lands a bracket growth factor away
+    fn, dfn, targets = DECREASING[name]
+    for target in targets:
+        root, _ = inc._solve_decreasing(lambda a: (fn(a), dfn(a)), target)
+        if root is None:
+            continue
+        for start in (root * (1.0 - 1e-8), root * (1.0 + 1e-8)):
+            calls = []
+            got, _ = inc._solve_decreasing(lambda a: calls.append(a) or (fn(a), dfn(a)), target, start=start)
+            assert got == pytest.approx(root, rel=1e-12, abs=0), (target, start)
+            assert max(abs(c / root - 1.0) for c in calls) <= 1e-6, (target, start, calls)
 
 
 ROOT = Path(__file__).resolve().parent.parent
