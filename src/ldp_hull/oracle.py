@@ -5,14 +5,16 @@ signed-area constraint, by a safeguarded augmented-Lagrangian loop whose
 inner problems run gradient descent with backtracking.  The signed area is
 used as the constraint (smooth in the velocities, unlike the hull area, and
 with the same optimum over this class); hull area is verified a posteriori on
-the convexified output.  Both constraint signs are solved and the better
-energy reported.
+the convexified output.  Only the positive sign is solved: reversing the
+velocity order, v_i -> v_{n+1-i}, keeps the mean rate and negates the
+discrete signed area exactly, so the two signs are one problem.
 
 The descent runs in the dual variables (mirror descent in the geometry of K):
 each segment carries u, with velocity v = grad K(u) and rate u.v - K(u),
 from the linearized duals Hess K(0)^{-1} (v - mu) of a half circle, so
 nothing is inverted.  A step moves u along minus the gradient G in v, with
-Armijo slope G.Hess K(u).G.
+Armijo slope G.Hess K(u).G; one kernel call gives each trial point its rates,
+velocities and the Hessian of the next slope.
 
 This is a consistency check, not a certificate: the discrete constraint set
 is nonconvex, so global optimality of the inner solve is not guaranteed.
@@ -71,34 +73,61 @@ def _mean_energy(vals: np.ndarray) -> float:
     return math.fsum(vals) / len(vals)
 
 
-def _half_circle_init(model, area: float, n: int, sign: int) -> np.ndarray:
-    # linearized duals of the half circle (exact for Gaussians): all valid starts
+def _half_circle_init(model, area: float, n: int) -> np.ndarray:
+    # linearized duals of the counterclockwise half circle (exact for Gaussians)
     radius = math.sqrt(2.0 * area / math.pi)
     t = np.linspace(0.0, 1.0, n + 1)
-    pts = radius * np.column_stack([np.sin(math.pi * t), sign * (1.0 - np.cos(math.pi * t))])
+    pts = radius * np.column_stack([np.sin(math.pi * t), 1.0 - np.cos(math.pi * t)])
     return legendre._linear_duals(model, np.diff(pts, axis=0) * n)
 
 
-def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
-    U = _half_circle_init(model, area, n, sign)
-    target = sign * area
+def minimize_discrete(
+    model: inc.IncrementModel,
+    area: float,
+    n: int,
+    *,
+    feas_tol: float = 1e-6,
+    stat_tol: float = 1e-4,
+) -> DiscreteCurve:
+    """Best piecewise-linear curve with |signed area| = ``area`` (n segments).
+
+    Initialization is the linearized duals of a scaled counterclockwise half
+    circle matching the target area (near the basin for every benchmark law,
+    whose optimal curves are convex arcs); the descent moves them, velocities
+    grad K(u).  Only signed area +``area`` is solved, so the returned
+    ``area`` is positive: the reversed velocity rows have the same energy and
+    signed area -``area``.  The penalty doubles from 10 whenever feasibility
+    stalls.  Feasibility is |signed area - area| <= ``feas_tol``;
+    stationarity is the max row norm of the augmented-Lagrangian gradient in
+    v scaled by n.  Both tolerances must be positive and finite.
+    """
+    if inc.support_class(model).tag != "full_plane":
+        raise NotFullPlaneError("minimize_discrete needs a full-plane support class")
+    inc._check_area(area)
+    if n < 8:
+        raise ValueError("need at least 8 segments")
+    for name, tol in (("feas_tol", feas_tol), ("stat_tol", stat_tol)):
+        if not (0.0 < tol < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
+    U = _half_circle_init(model, area, n)
     omega, rho = 0.0, 10.0
     c_prev = math.inf
 
     def evaluate(U):
-        # every dual point is in the domain: v = grad K(u), I(v) = u.v - K(u)
-        K, V = inc._derivatives(model, U, 1)
+        # every dual point is in the domain: v = grad K(u), I(v) = u.v - K(u);
+        # Hess K(u) gives the Armijo slope of the next step if this point is taken
+        K, V, H = inc._derivatives(model, U, 2)
         vals = legendre._dual_rates(U, V, K)
         a, dA = _area_terms(V)
-        c = a - target
+        c = a - area
         L = _mean_energy(vals) + omega * c + 0.5 * rho * c * c
         G = U / n + (omega + rho * c) * dA
-        return L, G, V, vals, a, c
+        return L, G, V, vals, a, c, H
 
     c = gnorm = math.inf
     for _outer in range(_MAX_OUTER):
         gtol = max(0.5 * stat_tol, min(0.1, 10.0 * abs(c) if math.isfinite(c) else 0.1))
-        L, G, V, vals, a, c = evaluate(U)
+        L, G, V, vals, a, c, H = evaluate(U)
         step = 1.0
         for _inner in range(_MAX_INNER):
             gnorm = n * float(np.max(np.linalg.norm(G, axis=1)))
@@ -106,7 +135,7 @@ def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
                 break
             # a step -G in u moves v along -Hess K(u) G, a descent direction in v
             D = -G
-            slope = float(np.einsum("ij,ijk,ik->", G, inc.cumulant_hessian(model, U), G))
+            slope = float(np.einsum("ij,ijk,ik->", G, H, G))
             t = step
             for _ in range(60):
                 trial = evaluate(U + t * D)
@@ -120,7 +149,7 @@ def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
             sy = float(np.sum(s * y))
             step = min(max(float(np.sum(s * s)) / sy, 1e-12), 1e3) if sy > 0 else t * 2.0
             U = U + s
-            L, G, V, vals, a, c = trial
+            L, G, V, vals, a, c, H = trial
         if abs(c) <= feas_tol and gnorm <= stat_tol:
             return DiscreteCurve(n, V, _mean_energy(vals), a)
         omega += rho * c
@@ -131,48 +160,6 @@ def _solve_sign(model, area, n, sign, feas_tol, stat_tol):
         f"augmented Lagrangian stalled: |constraint|={abs(c):.3e}, stationarity={gnorm:.3e} "
         f"after {_MAX_OUTER} outer rounds"
     )
-
-
-def minimize_discrete(
-    model: inc.IncrementModel,
-    area: float,
-    n: int,
-    *,
-    feas_tol: float = 1e-6,
-    stat_tol: float = 1e-4,
-) -> DiscreteCurve:
-    """Best piecewise-linear curve with |signed area| = ``area`` (n segments).
-
-    Initialization is the linearized duals of a scaled half circle matching
-    the target area (near the basin for every benchmark law, whose optimal
-    curves are convex arcs); the descent moves them, velocities grad K(u).
-    Both constraint signs are solved and the lower energy returned.  The
-    penalty doubles from 10 whenever feasibility stalls.  Feasibility is
-    |signed area - target| <= ``feas_tol``; stationarity is the max row norm
-    of the augmented-Lagrangian gradient in v scaled by n.  Both tolerances
-    must be positive and finite.
-    """
-    if inc.support_class(model).tag != "full_plane":
-        raise NotFullPlaneError("minimize_discrete needs a full-plane support class")
-    inc._check_area(area)
-    if n < 8:
-        raise ValueError("need at least 8 segments")
-    for name, tol in (("feas_tol", feas_tol), ("stat_tol", stat_tol)):
-        if not (0.0 < tol < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {tol}")
-    best = None
-    first_error = None
-    for sign in (+1, -1):
-        try:
-            cand = _solve_sign(model, area, n, sign, feas_tol, stat_tol)
-        except NoConvergenceError as exc:
-            first_error = first_error or exc
-            continue
-        if best is None or cand.energy < best.energy:
-            best = cand
-    if best is None:
-        raise first_error
-    return best
 
 
 def convexify_curve(curve: DiscreteCurve, orientation: str = "counterclockwise") -> DiscreteCurve:

@@ -1,13 +1,24 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldp_hull as lh
 from ldp_hull import oracle
 from ldp_hull.errors import NotFullPlaneError
 
+from test_metamorphic import FIVE_ATOMS, rotation
 from test_solver import drift_rate_reference
+
+# laws with no mirror symmetry y -> -y: the two signs of the area constraint
+# are no longer mirror images of each other
+SKEWED = [
+    pytest.param(FIVE_ATOMS, 0.05, id="five-atoms"),
+    pytest.param(lh.gaussian([1.0, 0.5], [[1.0, 0.3], [0.3, 0.8]]), 0.5, id="skewed-drift"),
+]
 
 
 def test_discrete_area_gradient_matches_finite_differences():
@@ -58,6 +69,83 @@ def test_descent_inverts_only_its_start(law, area, request, monkeypatch):
     curve = lh.minimize_discrete(model, area, 16)
     assert abs(abs(curve.area) - area) <= 1e-6
     assert calls == []
+
+
+@pytest.mark.parametrize("model, area", SKEWED)
+def test_reversed_velocities_solve_the_negative_sign(model, area):
+    # v_i -> v_{n+1-i} keeps every per-velocity rate and negates the discrete
+    # signed area, so solving the positive sign alone loses nothing
+    curve = lh.minimize_discrete(model, area, 32)
+    assert curve.area > 0
+    back = curve.velocities[::-1]
+    assert oracle.signed_area(back) == pytest.approx(-curve.area, rel=1e-15, abs=0)
+    rates = lh.legendre.rate_batch(model, curve.velocities)
+    assert oracle._mean_energy(lh.legendre.rate_batch(model, back)) == oracle._mean_energy(rates)
+
+
+@pytest.mark.parametrize("model, area", SKEWED)
+def test_one_kernel_call_per_evaluation(model, area, monkeypatch):
+    # each trial point takes K, grad K and Hess K from one order-2 call; the
+    # accepted trial's Hessian is the next Armijo slope's, so nothing else runs
+    calls, evaluations = [], []
+    real_kernel, real_area = lh.increments._derivatives, oracle._area_terms
+
+    def kernel(model, u, order):
+        calls.append((np.shape(u), order))
+        return real_kernel(model, u, order)
+
+    def area_terms(v):
+        evaluations.append(1)
+        return real_area(v)
+
+    monkeypatch.setattr(lh.increments, "_derivatives", kernel)
+    monkeypatch.setattr(oracle, "_area_terms", area_terms)
+    monkeypatch.setattr(lh.increments, "cumulant_hessian", lambda *a: pytest.fail("cumulant_hessian ran"))
+    lh.minimize_discrete(model, area, 16)
+    # the start's one call at u = 0 (the linearized duals), then one per evaluation
+    assert calls[0] == ((2,), 2)
+    assert calls[1:] == [((16, 2), 2)] * len(evaluations)
+    assert len(evaluations) > 1
+
+
+@pytest.mark.parametrize(
+    "model, area, n, energy, signed, digest",
+    [
+        pytest.param(lh.gaussian([0.0, 0.0], np.eye(2)), 1.0, 128, 3.1417482041118125,
+                     0.9999993108754993,
+                     "6264e43b6af67beca7635e5a1d32288555be93647625e03d5c8f65612c3a3e67", id="iso"),
+        pytest.param(lh.gaussian([1.0, 0.0], np.eye(2)), 1.0, 128, 1.8317037622229102,
+                     1.0000001098293225,
+                     "75b99188ff4fead341c2006191304d484579768c9c2ea4a5aee946f6316cdcfd", id="drift"),
+        pytest.param(lh.atoms([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [1 / 3] * 3), 0.2, 64,
+                     0.6517534041758386, 0.19999978946473818,
+                     "960d8c91d08c0803c499ec6e64f3c72e26e7849f4607039fe6b968795b852512",
+                     id="triangle"),
+    ],
+)
+def test_mirror_symmetric_outputs_pinned(model, area, n, energy, signed, digest):
+    # on laws symmetric under y -> -y both signs gave the same bits and the
+    # positive one was kept; solving that sign alone keeps every byte
+    curve = lh.minimize_discrete(model, area, n)
+    assert curve.energy == energy
+    assert curve.area == signed
+    assert hashlib.sha256(curve.velocities.tobytes()).hexdigest() == digest
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(s1=st.floats(0.75, 1.33), s2=st.floats(0.75, 1.33), phi=st.floats(0.0, 2 * math.pi),
+       psi=st.floats(0.0, 2 * math.pi), u=st.floats(0.5, 1.2))
+def test_linear_image_of_drift_bounded_by_its_rate(s1, s2, phi, psi, u):
+    # J_{TX}(|det T| u) = J_X(u): the 32-segment curve is admissible, so its
+    # energy lies above J (up to the area tolerance) and within 3% of it
+    T = rotation(phi) @ np.diag([s1, s2]) @ rotation(psi)
+    det = abs(np.linalg.det(T))
+    model = lh.gaussian(T @ [1.0, 0.0], T @ T.T)
+    area = det * u
+    energy = lh.minimize_discrete(model, area, 32).energy
+    j = drift_rate_reference(area / det)
+    assert j <= energy * (1 + 1e-5)
+    assert energy <= 1.03 * j
 
 
 def test_minimize_refinement_trend(iso):
