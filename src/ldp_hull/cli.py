@@ -13,6 +13,7 @@ on stderr); 1 on argument, I/O or parse failures (one ``error:`` line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -272,6 +273,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # built on first use, once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="ldp-hull",

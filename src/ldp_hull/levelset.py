@@ -369,7 +369,8 @@ def _solve_level(model, target: float, ell=None, tau: int = +1):
     underestimate the slope of a short arc near the origin), whose first
     evaluation is the settle test: once its area and mass agree with those
     on n nodes to :func:`_settle_rtol`, returns (alpha or None, None, (area,
-    mass, mass density) on 2n nodes); (None, value at cap, None) past the cap."""
+    mass, mass density) on 2n nodes, the slope's alpha derivative there); (None,
+    value at cap, None, None) past the cap."""
     rule_of = lambda n: _ring_rule(model, n) if ell is None else _arc_rule(model, ell, tau, n)
     n, at, prev = _N0, 1.0, None
     while True:
@@ -392,10 +393,10 @@ def _solve_level(model, target: float, ell=None, tau: int = +1):
 
         first = [slope(at)]  # the solve's own first evaluation, at ``at``
         if prev is not None and np.allclose(last[4][:2], prev, rtol=_settle_rtol(at), atol=0.0):
-            return alpha, None, last[4]
+            return alpha, None, last[4], first[0][1]
         alpha, cap = inc._solve_decreasing(lambda a: first.pop() if first else slope(a), target, _ray_noise, at)
         if cap is not None:
-            return None, cap, None
+            return None, cap, None, None
         at, prev = last[0], last[4][:2]  # the root, or the smallest level tried
         if 2 * n > _N_CAP:
             raise NoConvergenceError(f"level-set quadrature unsettled at rtol={_settle_rtol(at):g}, {n} nodes")
@@ -409,7 +410,7 @@ def _symmetric_level(model, area: float):
     if not inc.is_centrally_symmetric(model):
         raise NotSymmetricError("symmetric_level needs a centrally symmetric law")
     ell = np.array([1.0, 0.0])
-    alpha, cap_slope, settled = _solve_level(model, 1.0 / (2.0 * math.sqrt(area)), ell, -1)
+    alpha, cap_slope, settled, _ = _solve_level(model, 1.0 / (2.0 * math.sqrt(area)), ell, -1)
     if alpha is None:
         if cap_slope is None:
             raise NoConvergenceError("level solve found no root on the small-alpha side")
@@ -433,12 +434,13 @@ def symmetric_level(model: inc.IncrementModel, area: float) -> float:
 
 def _radius_gap(model, alpha, thetas, r0=None):
     """r(theta) - r(theta + pi) for each angle, its derivative by r'(theta) =
-    -r (perp(d) . g)/(d . g), and the radii for warm starts."""
+    -r (perp(d) . g)/(d . g), and the radii and slopes d . g of all rays, theta's first."""
     dirs = _dirs_of(np.concatenate([thetas, thetas + np.pi]))
     r, grad = _ray_radii(model, alpha, dirs, r0=r0)
-    dr = -r * np.einsum("ij,ij->i", _perp(dirs), grad) / np.einsum("ij,ij->i", dirs, grad)
+    slope = np.einsum("ij,ij->i", dirs, grad)
+    dr = -r * np.einsum("ij,ij->i", _perp(dirs), grad) / slope
     k = len(thetas)
-    return r[:k] - r[k:], dr[:k] - dr[k:], r
+    return r[:k] - r[k:], dr[:k] - dr[k:], r, slope
 
 
 def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
@@ -457,7 +459,7 @@ def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
     if inc.is_centrally_symmetric(model):
         return ALL_DIRECTIONS
     thetas = np.linspace(0.0, np.pi, k, endpoint=False)
-    gaps, _, r = _radius_gap(model, alpha, thetas)
+    gaps, _, r, _ = _radius_gap(model, alpha, thetas)
     scale = 1e-12 * max(1.0, float(np.max(np.abs(gaps))))
     # scan intervals [thetas[i], ends[i]]; the gap is anti-periodic
     ends, end_gaps = np.append(thetas[1:], np.pi), np.append(gaps[1:], -gaps[0])
@@ -468,7 +470,7 @@ def candidate_directions(model: inc.IncrementModel, alpha: float, k: int = 256):
 
     def gap(theta):
         nonlocal radii
-        g, dg, radii = _radius_gap(model, alpha, theta, r0=radii)
+        g, dg, radii, _ = _radius_gap(model, alpha, theta, r0=radii)
         return sign * g, sign * dg
 
     roots = list(thetas[at_node])

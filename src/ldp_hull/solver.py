@@ -3,8 +3,8 @@
 For full-plane increment laws the optimal curves are rotated, scaled arcs of
 a cumulant level set; ``levelset`` solves for their level and for the cut
 directions ``ell`` (centrally symmetric chords of the level set).  This
-module composes the candidates: it seeds the directions, settles each arc's
-direction/level fixed point and traverses the arc in either orientation.
+module composes the candidates: it seeds the directions, solves each arc's
+chord angle as a root on its level and traverses the arc in either orientation.
 Each distinct arc is solved once; its reverse traversal (-ell, -tau) and, for
 a centrally symmetric law, its point reflection (ell, -tau) are derived from
 it, so their energies tie exactly.  A candidate's energy is 2A/M - alpha
@@ -32,6 +32,8 @@ from .legendre import Trajectory
 from .levelset import (
     ALL_DIRECTIONS,
     _equal_mass_arc,
+    _radius_gap,
+    _ray_noise,
     _settle_rtol,
     _solve_level,
     _symmetric_level,
@@ -56,7 +58,6 @@ __all__ = [
     "euler_lagrange_residual_1d",
 ]
 
-_FIXED_POINT_ROUNDS = 30
 _TIE_RTOL = 1e-9  # candidate energies this close are ordered by (angle, tau)
 _GRAPH_NODES = 64
 
@@ -146,32 +147,51 @@ def _derived(model, c: Candidate, reflect: bool) -> Candidate:
     return Candidate(c.alpha, -sign * c.ell, -c.tau, traj, c.energy, -c.multiplier)
 
 
-def _solve_candidate(model, theta, tau, area, n, k):
-    """Fixed-point resolution of the coupled (direction, level) conditions.
+def _solve_candidate(model, theta, tau, area, n):
+    """The arc (ell, tau) at the chord nearest ``theta``: the root of G(theta) =
+    r(theta) - r(theta + pi) on the level alpha(theta) of the target area.
 
-    The level equation is solved at the direction ``theta``; the level set's
-    chords (:func:`candidate_directions` with ``k`` scan angles) are found at
-    that level, and ``theta`` moves to the nearest chord direction with the
-    same ``tau``, until it moves by at most 1e-12 (chord directions do not
-    drift with the level for quadratic cumulants).  None when the arc has no
-    level root or the level set has no chord;
-    :class:`NoConvergenceError` after ``_FIXED_POINT_ROUNDS`` rounds.
+    G' is dG/dtheta at fixed alpha plus (1/(d . g)(theta) - 1/(d . g)(theta +
+    pi)) alpha', with alpha' = -F_theta/F_alpha for the level slope F =
+    M/(2 sqrt A), A_theta = tau (r(theta + pi)^2 - r(theta)^2)/2 and M_theta =
+    tau (rho(theta + pi) - rho(theta)), rho = r/(d . g).  G is taken over its
+    ray noise.  Within it, ``theta`` is the chord (every Gaussian and every
+    mirror-symmetric law); otherwise a sign-change bracket grows from 1.25
+    times the first Newton step (at most pi/8), doubling within a quarter
+    turn, and :func:`increments._increasing_root` solves it.  None where an
+    arc has no level root or no bracket is found.
     """
-    target = 1.0 / (2.0 * math.sqrt(area))
-    for _ in range(_FIXED_POINT_ROUNDS):
-        ell = _unit([math.cos(theta), math.sin(theta)])
-        alpha, _cap, settled = _solve_level(model, target, ell, tau)
+    target, last = 1.0 / (2.0 * math.sqrt(area)), None
+
+    def gap(t: float):  # (G, G') over the noise at angle t, or None without a level root
+        nonlocal last
+        ell = _unit([math.cos(t), math.sin(t)])
+        alpha, _, settled, f_alpha = _solve_level(model, target, ell, tau)
         if alpha is None:
             return None
-        chords = [math.atan2(e[1], e[0]) for e, t in candidate_directions(model, alpha, k) if t == tau]
-        if not chords:
-            return None
-        gap = lambda c: abs(math.remainder(c - theta, 2.0 * math.pi))  # angle mod 2 pi
-        new_theta = min(chords, key=gap)
-        if gap(new_theta) <= 1e-12:
-            return _candidate(_equal_mass_arc(model, alpha, ell, tau, *settled, n))
-        theta = new_theta
-    raise NoConvergenceError(f"direction/level fixed point unsettled after {_FIXED_POINT_ROUNDS} rounds")
+        g, dg, r, s = _radius_gap(model, alpha, np.array([t]))
+        rho, root, mass = r / s, math.sqrt(settled[0]), settled[1]
+        f_theta = tau * ((rho[1] - rho[0]) / (2.0 * root) - mass * (r[1] ** 2 - r[0] ** 2) / (8.0 * root ** 3))
+        tol, last = _ray_noise(alpha) * (r[0] + r[1]), (alpha, ell, settled)
+        return float(g[0] / tol), float((dg[0] - (1.0 / s[0] - 1.0 / s[1]) * f_theta / f_alpha) / tol)
+
+    lo = hi = theta
+    f_lo = f_hi = gap(theta)
+    if f_lo is not None and abs(f_lo[0]) > 1.0:  # a bracket along the Newton step
+        step = -f_lo[0] / f_lo[1] if f_lo[1] else math.inf
+        width = math.copysign(min(math.pi / 8, 1.25 * abs(step)), step)
+        while f_hi is not None and f_hi[0] * f_lo[0] > 0.0:
+            lo, f_lo, hi = hi, f_hi, theta + width
+            f_hi, width = (gap(hi) if abs(width) <= math.pi / 2 else None), 2.0 * width
+        if f_hi is not None:
+            a, b = sorted((lo, hi))
+            x0 = theta + step if a < theta + step < b else 0.5 * (a + b)
+            sign = -math.copysign(1.0, f_lo[0] * (hi - lo))  # sign * G increases from a to b
+            inc._increasing_root(lambda t: tuple(sign * v for v in gap(float(t))), x0, a, b, 1.0)
+    if f_hi is None:
+        return None
+    alpha, ell, settled = last  # at the returned angle, the last one evaluated
+    return _candidate(_equal_mass_arc(model, alpha, ell, tau, *settled, n))
 
 
 def _ordered(cands: list[Candidate]) -> list[Candidate]:
@@ -194,13 +214,13 @@ def _solve_full_plane(model, area, directions, n) -> RateResult:
         cand = _candidate(_equal_mass_arc(model, *_symmetric_level(model, area), n))
         cands = [cand, _derived(model, cand, reflect=True)]
     else:
-        seed_alpha, cap, _ = _solve_level(model, 1.0 / math.sqrt(2.0 * area))
+        seed_alpha, cap, _, _ = _solve_level(model, 1.0 / math.sqrt(2.0 * area))
         cands = []
         for ell, tau in candidate_directions(model, 1.0 if seed_alpha is None else seed_alpha, directions):
             theta = math.atan2(ell[1], ell[0])
             if theta >= 0.0:
                 continue  # the reverse of the arc (-ell, -tau), derived from it below
-            cand = _solve_candidate(model, theta, tau, area, n, directions)
+            cand = _solve_candidate(model, theta, tau, area, n)
             if cand is not None and not any(
                 d.tau == cand.tau and np.linalg.norm(d.ell - cand.ell) <= 1e-9 for d in cands
             ):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ldp_hull import cli
 from ldp_hull.cli import _csv_rows, _fmt_float, main
 
 
@@ -226,6 +227,21 @@ def test_help_still_exits_0(capsys):
         main(["rate", "--help"])
     assert exc.value.code == 0
     assert "--area" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(specs, capsys):
+    # two calls with different subcommands share one parser, and each call
+    # parses only its own arguments
+    cli._build_parser.cache_clear()
+    assert main(["levelset", "--dist", specs["gauss_iso.json"], "--alpha", "0.5", "--samples", "8"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "x,y" and len(rows) == 1 + 9
+    assert max(abs(math.hypot(*map(float, r.split(","))) - 1.0) for r in rows[1:]) <= 1e-12  # K = 1/2 |u|^2
+    assert main(["rate", "--dist", specs["gauss_drift.json"], "--area", "0.5", "--directions", "64"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"dist": specs["gauss_drift.json"], "area": 0.5, "eps": None, "directions": 64,
+                      "samples": 1024, "threads": None, "subcommand": "rate"}
+    assert cli._build_parser.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_simulate_byte_identical_across_runs_and_threads(specs):
