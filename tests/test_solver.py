@@ -667,10 +667,8 @@ DRAWN_LAWS = {
 def assert_candidates_meet_their_chords(res):
     # |r(ell) - r(-ell)| on the candidate's level within the chord root's tolerance
     for c in res.candidates:
-        gap = lh.level_radius(res.model, c.alpha, c.ell) - lh.level_radius(res.model, c.alpha, -c.ell)
-        tol = levelset._ray_noise(c.alpha) * (
-            lh.level_radius(res.model, c.alpha, c.ell) + lh.level_radius(res.model, c.alpha, -c.ell))
-        assert abs(gap) <= tol, (c.ell, c.tau, gap, tol)
+        r_plus, r_minus = (lh.level_radius(res.model, c.alpha, e) for e in (c.ell, -c.ell))
+        assert abs(r_plus - r_minus) <= levelset._ray_noise(c.alpha) * (r_plus + r_minus), (c.ell, c.tau)
 
 
 @pytest.mark.parametrize("law", sorted(DRAWN_LAWS), ids=lambda i: f"drawn-law-{i}")
@@ -737,7 +735,7 @@ def test_unsettled_chord_root_raises(monkeypatch, tmp_path, capsys):
 
 
 def test_seeds_settling_on_one_arc_list_it_once(drift, monkeypatch):
-    # two scanned chords whose fixed points settle on the same arc give that
+    # two scanned chords whose chord roots settle on the same arc give that
     # arc once, followed by its reverse traversal
     arc = _stub_candidate(0.5, -2.0, +1)
     seeds = [(np.array([math.cos(t), math.sin(t)]), +1) for t in (-2.0, -1.0)]
