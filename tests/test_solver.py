@@ -705,6 +705,32 @@ def test_drawn_atom_laws_never_leave_the_chord_root_unsettled(model, a):
     assert_candidates_meet_their_chords(res)
 
 
+@st.composite
+def drawn_gaussian_laws(draw):
+    coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    m = np.array([[draw(coord), draw(coord)], [draw(coord), draw(coord)]])
+    return lh.gaussian([draw(coord), draw(coord)], m @ m.T + 0.2 * np.eye(2))
+
+
+@pytest.mark.parametrize("laws", [drawn_gaussian_laws, asymmetric_atom_laws], ids=["gaussian", "atoms"])
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(data=st.data(), a=st.floats(0.02, 0.3))
+def test_envelope_identity_over_drawn_laws(laws, data, a):
+    # dJ/da = |multiplier| of the lead candidate, as in test_metamorphic's
+    # fixed cases; J has a kink where leads of other slopes tie, so those skip
+    model = data.draw(laws())
+    h = 1e-4 * a
+    try:
+        res, above, below = (lh.rate_of_area(model, x) for x in (a, a + h, a - h))
+    except NoCandidateError:
+        return
+    lead = res.candidates[0]
+    tied = [c for c in res.candidates if c.energy <= lead.energy * (1.0 + solver._TIE_RTOL)]
+    if any(abs(c.multiplier) != pytest.approx(abs(lead.multiplier), rel=1e-6) for c in tied):
+        return
+    assert (above.rate - below.rate) / (2.0 * h) == pytest.approx(abs(lead.multiplier), rel=1e-6, abs=0)
+
+
 def test_unsettled_chord_root_raises(monkeypatch, tmp_path, capsys):
     # drawn law 2's chord root takes more than two rounds.  Capped at two (the
     # chord root alone: a global cap stops the first ray solve, and the level
