@@ -233,11 +233,11 @@ def test_blocked_hit_set_matches_per_walk_reference(name, tilted, fraction, bloc
 @pytest.mark.parametrize("name", ["graph-pm1", "triangle"])
 def test_uniform_walks_spanning_many_philox_calls(monkeypatch, name):
     # a cap of two blocks per call: five calls, the last one a part block
-    model, n, area, _ = IDENTITY_LAWS[name]
+    model, n, area, naive_max = IDENTITY_LAWS[name]
     block = max(1, mc._BLOCK_POINTS // (n + 1))
     monkeypatch.setattr(mc, "_PHILOX_WORDS", 2 * block * 4 * -(-n // 4))
     samples = 8 * block + block // 3 + 1
-    for tilts, threshold in ((identity_tilts(name), area * n * n), (np.zeros((n, 2)), 0.0)):
+    for tilts, threshold in ((identity_tilts(name), area * n * n), (np.zeros((n, 2)), 0.5 * naive_max * n * n)):
         ref = reference_log_weights(model, tilts, threshold, 12, samples)
         got = mc._hit_log_weights(model, tilts, threshold, 12, samples)
         assert got.tobytes() == ref.tobytes()
